@@ -1,15 +1,14 @@
-"""Chaos soak: seeded fault schedules against the real pool + server.
+"""Chaos soak: seeded fault schedules against the live server and the wire.
 
 The resilience layer's acceptance gate.  Hundreds of seeded random
-:class:`~repro.faults.FaultPlan` schedules (worker kills, injected typed
-crashes, slow boundaries) run against a live
-:class:`~repro.engine.EvaluationPool` and :class:`~repro.serve.Server`,
-plus a handful of scripted segment-attack schedules (vanish/corrupt a
-published shared-memory segment under a worker kill) on throwaway pools,
-plus seeded schedules over the **network edge** — crashes and slowdowns
-at the ``transport.*`` boundaries of a real localhost
+:class:`~repro.faults.FaultPlan` schedules (injected typed crashes, slow
+boundaries) run against a live :class:`~repro.serve.Server`, plus seeded
+schedules over the **network edge** — crashes and slowdowns at the
+``transport.*`` boundaries of a real localhost
 :class:`~repro.serve.ServeTransport`, absorbed by the client's retry
-policy, per-request deadlines, and circuit breaker.
+policy, per-request deadlines, and circuit breaker.  (Worker kills and
+segment attacks on the evaluation pool are covered by
+``tests/test_faults.py``.)
 For every schedule the soak asserts:
 
 * **termination** — each serve run finishes within a wall-clock bound
@@ -21,9 +20,6 @@ For every schedule the soak asserts:
 * **bit-identity** — every session that *completed* returns exactly the
   fault-free result (count, price, transcript), no matter how many
   faults its schedule fired around it;
-* **trip -> cooldown -> probe -> restore** — a degraded plan group
-  returns to streaming through the breaker (``stats.trips`` and
-  ``stats.restores`` both advance in the scripted recovery scenario);
 * **<1% overhead with faults off** — the per-crossing cost of the
   disarmed ``schedule_point`` hook, projected over a serve run's
   measured crossing count, stays under 1% of the fault-free wall time.
@@ -62,7 +58,6 @@ from bench_json import write_bench_json
 from repro.analysis.schedule import schedule_point
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool
 from repro.exceptions import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.plan import compile_policy
@@ -152,7 +147,6 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
     sessions_completed = 0
     sessions_errored = 0
     escaped_typed = 0
-    trips = restores = 0
 
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = "1"
@@ -161,125 +155,34 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         # Phase 0: crossings per run, for the disarmed-overhead gate.
         crossings = _count_crossings(plan, targets)
 
-        # Phase 1: seeded random schedules over one long-lived pool.
-        # Kills and crashes recover in place; segment attacks get their
-        # own throwaway pools below (a vanished segment poisons the
-        # plan's residency for every later schedule).
-        with EvaluationPool(workers=2) as pool:
-            for seed in range(schedules):
-                fault = FaultPlan.random(
-                    seed,
-                    rate=rate,
-                    kinds=("crash", "kill_worker", "slow"),
-                    max_faults=4,
-                )
-                server = Server(
-                    plan, pool=pool, deadline=10.0, breaker_cooldown=2
-                )
-                begin = time.perf_counter()
-                try:
-                    with fault.armed(pool=pool):
-                        outcomes, escaped = _serve_once(server, targets)
-                finally:
-                    server.close()
-                elapsed = time.perf_counter() - begin
-                if elapsed > _SCHEDULE_BOUND_S:
-                    violations.append(
-                        f"seed {seed}: schedule took {elapsed:.1f}s "
-                        f"(bound {_SCHEDULE_BOUND_S}s) — hang (trace "
-                        f"{fault.trace})"
-                    )
-                _check_outcomes(
-                    outcomes, reference, seed, fault.trace, violations
-                )
-                faults_fired += fault.fired
-                escaped_typed += escaped is not None
-                sessions_completed += sum(
-                    1 for o in outcomes.values() if o.ok
-                )
-                sessions_errored += sum(
-                    1 for o in outcomes.values() if not o.ok
-                )
-                trips += server.stats.trips
-                restores += server.stats.restores
-
-        # Phase 2: scripted segment attacks, one throwaway pool each.
-        segment_specs = [
-            ("vanish_segment", "serve.dispatch_stream"),
-            ("corrupt_segment", "serve.dispatch_stream"),
-            ("vanish_segment", "serve.collect_stream"),
-            ("corrupt_segment", "serve.collect_stream"),
-        ]
-        for i, (kind, site) in enumerate(segment_specs):
-            fault = FaultPlan(
-                [
-                    FaultSpec(kind, at=site, nth=2),
-                    FaultSpec("kill_worker", at="serve.step", nth=3),
-                ]
+        # Phase 1: seeded random schedules against the server.
+        for seed in range(schedules):
+            fault = FaultPlan.random(
+                seed, rate=rate, kinds=("crash", "slow"), max_faults=4
             )
-            with EvaluationPool(workers=1) as mortal:
-                server = Server(
-                    plan, pool=mortal, deadline=10.0, breaker_cooldown=2
-                )
-                try:
-                    with fault.armed(pool=mortal):
-                        outcomes, escaped = _serve_once(server, targets)
-                finally:
-                    server.close()
-            _check_outcomes(
-                outcomes, reference, f"segment-{i}", fault.trace, violations
-            )
-            faults_fired += fault.fired
-            escaped_typed += escaped is not None
-
-        # Phase 3: scripted recovery — a degraded group must return to
-        # streaming through the breaker (trip AND restore observed).
-        with EvaluationPool(workers=1) as pool:
-            server = Server(plan, pool=pool, deadline=10.0, breaker_cooldown=2)
+            server = Server(plan)
+            begin = time.perf_counter()
             try:
-                outcomes = {}
-                for t in targets[: len(targets) // 2]:
-                    server.submit(SessionRequest(t, target=t))
-                outcomes.update(
-                    {o.session_id: o for o in server.drain(timeout=30.0)}
-                )
-                group = next(iter(server._groups.values()))
-                group._degrade_to_local()  # the failure-path entry point
-                pending = [t for t in targets if t not in outcomes]
-                give_up = time.monotonic() + 30.0
-                while (
-                    pending or server.in_flight
-                ) and time.monotonic() < give_up:
-                    if pending:
-                        server.submit(
-                            SessionRequest(pending[0], target=pending.pop(0))
-                        )
-                    for o in server.step():
-                        outcomes[o.session_id] = o
-                recovery_ok = (
-                    server.stats.trips >= 1
-                    and server.stats.restores >= 1
-                    and group.stream is not None
-                    and len(outcomes) == len(targets)
-                    and all(
-                        outcomes[t].ok and outcomes[t].result == reference[t]
-                        for t in targets
-                    )
-                )
-                trips += server.stats.trips
-                restores += server.stats.restores
-                if not recovery_ok:
-                    violations.append(
-                        "recovery scenario: degraded group did not restore "
-                        f"streaming (trips={server.stats.trips}, "
-                        f"restores={server.stats.restores}, "
-                        f"stream={'open' if group.stream else 'closed'}, "
-                        f"served={len(outcomes)}/{len(targets)})"
-                    )
+                with fault.armed():
+                    outcomes, escaped = _serve_once(server, targets)
             finally:
                 server.close()
+            elapsed = time.perf_counter() - begin
+            if elapsed > _SCHEDULE_BOUND_S:
+                violations.append(
+                    f"seed {seed}: schedule took {elapsed:.1f}s "
+                    f"(bound {_SCHEDULE_BOUND_S}s) — hang (trace "
+                    f"{fault.trace})"
+                )
+            _check_outcomes(outcomes, reference, seed, fault.trace, violations)
+            faults_fired += fault.fired
+            escaped_typed += escaped is not None
+            sessions_completed += sum(1 for o in outcomes.values() if o.ok)
+            sessions_errored += sum(
+                1 for o in outcomes.values() if not o.ok
+            )
 
-        # Phase 4: the network edge — seeded transport.* fault schedules
+        # Phase 2: the network edge — seeded transport.* fault schedules
         # over a real localhost transport (fewer schedules: each one
         # binds a listener and dials real sockets).
         transport_counters = _transport_soak(
@@ -293,7 +196,6 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         faults_fired += transport_counters["fired"]
         sessions_completed += transport_counters["completed"]
         sessions_errored += transport_counters["errored"]
-        trips += transport_counters["trips"]
     finally:
         if previous is None:
             os.environ.pop("REPRO_FAULTS", None)
@@ -317,8 +219,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         "sessions_completed": sessions_completed,
         "sessions_errored": sessions_errored,
         "schedules_cut_short_typed": escaped_typed,
-        "breaker_trips": trips,
-        "breaker_restores": restores,
+        "breaker_trips": transport_counters["trips"],
         "transport_faults_fired": transport_counters["fired"],
         "transport_sessions_completed": transport_counters["completed"],
         "transport_sessions_errored": transport_counters["errored"],
@@ -336,8 +237,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         schedules=schedules,
         faults_fired=faults_fired,
         sessions_completed=sessions_completed,
-        breaker_trips=trips,
-        breaker_restores=restores,
+        breaker_trips=transport_counters["trips"],
         transport_faults_fired=transport_counters["fired"],
         hook_overhead_fraction=round(overhead, 6),
         violations=len(violations),
@@ -347,12 +247,12 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
 
 
 def _transport_soak(plan, hierarchy, targets, reference, violations, schedules):
-    """Phase 4: seeded fault schedules against the network edge.
+    """Phase 2: seeded fault schedules against the network edge.
 
     Runs target sessions over a real localhost transport
     (:mod:`repro.serve.transport`) with crashes and slowdowns injected
-    at the ``transport.*`` boundaries.  Same invariants as the pool
-    phases: typed errors only, bit-identical completions, no hangs —
+    at the ``transport.*`` boundaries.  Same invariants as the server
+    phase: typed errors only, bit-identical completions, no hangs —
     the client's retry policy and per-request deadlines must absorb
     the chaos.
     """
@@ -489,7 +389,7 @@ def _default_schedules(smoke: bool) -> int:
 
 def test_chaos_soak_holds_all_invariants(report):
     """Acceptance: seeded fault schedules — no hangs, typed errors only,
-    bit-identical completions, breaker recovery, <1% disarmed overhead."""
+    bit-identical completions, <1% disarmed overhead."""
     payload = run_soak(
         schedules=_default_schedules(smoke=True),
         sessions=int(os.environ.get("REPRO_BENCH_FAULTS_SESSIONS", "24")),

@@ -1,9 +1,9 @@
-"""Streaming-server acceptance benchmark: throughput and open-loop SLOs.
+"""Session-server acceptance benchmark: throughput and open-loop SLOs.
 
 Two phases, two production claims:
 
 1. **Closed loop** — N concurrent sessions sharing one compiled plan,
-   advanced by vectorized micro-batch steps (:class:`repro.serve.Server`),
+   settled from the plan's leaf table (:class:`repro.serve.Server`),
    must beat N sequential ``run_search`` cursor walks — with
    *byte-identical* per-session results (transcripts included).  This
    times 1,000 seeded sessions both ways on a ~10,000-node balanced tree
@@ -92,7 +92,7 @@ def run_benchmark(
     sessions: int = 1_000,
     seed: int = 0,
 ) -> dict:
-    """Time micro-batched serving against sequential cursor sessions."""
+    """Time served sessions against sequential cursor sessions."""
     hierarchy = _balanced_tree_exact(branching, n_target)
     distribution = TargetDistribution.equal(hierarchy)
     plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
@@ -110,8 +110,8 @@ def run_benchmark(
     ]
     sequential_seconds = time.perf_counter() - start
 
-    # Micro-batched: all sessions in flight at once, advanced by
-    # vectorized steps over the shared plan's arrays.  The server is
+    # Served: all sessions in flight at once, settled from the shared
+    # plan's leaf table.  The server is
     # built outside the timed region — like the plan compile, it is a
     # one-time setup cost a deployment pays once, not per feed.
     feed = [

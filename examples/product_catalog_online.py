@@ -84,8 +84,8 @@ def main() -> None:
         f"{hierarchy.n} categories (key {served.config_key[:12]}...)"
     )
 
-    # The labelling service: a streaming server micro-batches every
-    # concurrent session over the one shared plan.  A burst of 2,000
+    # The labelling service: a session server settles every concurrent
+    # session from the one shared plan's leaf table.  A burst of 2,000
     # product sessions flows through a 256-session admission window.
     arrivals = catalog.stream(rng, max_objects=2_000)
     feed = (
@@ -98,7 +98,7 @@ def main() -> None:
     print(
         f"\nServed {len(ok)} product sessions "
         f"(peak {server.stats.peak_in_flight} in flight, "
-        f"{server.stats.steps} vectorized steps); "
+        f"{server.stats.steps} steps); "
         f"avg {sum(o.result.num_queries for o in ok) / len(ok):.2f} "
         "questions/product"
     )

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: Hard ceiling on scheduler grants in one schedule; a loop that polls
-#: forever (``PlanStream.poll`` with nothing arriving) is truncated, not
+#: forever (a collector with nothing arriving) is truncated, not
 #: spun on — truncated schedules skip the invariant (they are partial
 #: executions, not counterexamples).
 _DEFAULT_MAX_STEPS = 400

@@ -96,7 +96,7 @@ def enabled() -> bool:
 class FaultSpec:
     """One scripted fault: fire ``kind`` at the ``nth`` crossing of ``at``.
 
-    ``nth`` is 1-based — ``FaultSpec("crash", at="stream.submit", nth=2)``
+    ``nth`` is 1-based — ``FaultSpec("crash", at="serve.submit", nth=2)``
     lets the first submit through and fails the second.
     """
 

@@ -9,15 +9,15 @@ Both primitives are deliberately clock- and RNG-free in their *decisions*:
   same pauses, and the linter's determinism rule (RPA004) never meets a
   global RNG.  Only the *sleeping* touches the wall clock.
 
-* :class:`CircuitBreaker` counts *ticks* (server steps), not seconds, so
-  the trip -> cooldown -> half-open -> restore cycle is reproducible in
-  tests and under the deterministic-schedule explorer: a server that
-  steps N times behaves identically no matter how long each step took.
+* :class:`CircuitBreaker` counts *ticks* (admission attempts), not
+  seconds, so the trip -> cooldown -> half-open -> restore cycle is
+  reproducible in tests and under the deterministic-schedule explorer: a
+  caller that ticks N times behaves identically no matter how long each
+  tick took.
 
 Used by :class:`~repro.engine.pool.EvaluationPool` (segment-attach
 retries, backoff between death-recovery rounds) and
-:class:`~repro.serve.Server` (per-plan-group breakers replacing the old
-one-way degrade-to-local).
+:class:`~repro.serve.ServeClient` (retries and a per-backend breaker).
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ class CircuitBreaker:
       consecutive-failure counter; at ``failure_threshold`` the breaker
       *trips* to open.
     * ``open`` — traffic is refused for ``cooldown`` ticks
-      (:meth:`tick`, one per server step).
+      (:meth:`tick`, one per admission attempt).
     * ``half-open`` — exactly one probe is allowed
       (:meth:`allow_probe`); its success (:meth:`record_success`)
       restores ``closed``, its failure re-trips with a fresh cooldown.
 
     ``on_trip``/``on_restore`` callbacks fire on the state *transitions*
-    (not on every recorded failure), which is where a server hooks its
+    (not on every recorded failure), which is where a caller hooks its
     stats counters.
     """
 

@@ -109,7 +109,7 @@ def simulate_online_labeling(
             oracle = ExactOracle(hierarchy, category)
             # One shared session loop (repro.serve.runtime) serves each
             # object — the same runtime behind run_search, the console,
-            # and the streaming server.
+            # and the session server.
             result = SessionRuntime(plan, hierarchy).run(oracle)
             if result.returned != category:
                 raise SearchError(

@@ -1,4 +1,4 @@
-"""The unified session runtime, the streaming serving layer, and the wire.
+"""The unified session runtime, the session server, and the wire.
 
 Three layers, one loop:
 
@@ -7,13 +7,11 @@ Three layers, one loop:
   simulator, the console, and the server below).  One session, driven one
   protocol step at a time.
 
-* :class:`Server` — many concurrent sessions, micro-batched per shared
-  :class:`~repro.plan.CompiledPlan` and advanced with vectorized steps
-  over the plan's flat arrays, behind admission control (in-flight cap,
-  bounded queue, typed rejection) and per-tenant plan quotas optionally
-  backed by the persistent evaluation pool's shared-memory registry
-  (:class:`~repro.engine.pool.EvaluationPool`, whose streaming mode the
-  server can offload batches to).
+* :class:`Server` — many concurrent sessions over shared
+  :class:`~repro.plan.CompiledPlan` s: exact-target sessions settle from
+  each plan's leaf table in one step, oracle-driven sessions step once
+  per tick, behind admission control (in-flight cap, bounded queue,
+  typed rejection) and per-tenant plan quotas.
 
 * :class:`ServeTransport` / :class:`ServeClient` — the network edge:
   NDJSON frames over asyncio streams feeding ``Server.aserve``, session

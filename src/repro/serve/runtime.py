@@ -15,9 +15,9 @@ step by step so that
 * interactive drivers (the console, a web frontend) call
   :meth:`propose`/:meth:`observe` one question at a time and may
   :meth:`undo` freely;
-* the streaming server (:mod:`repro.serve.server`) holds many runtimes —
-  or vectorizes whole batches of equivalent ones — and finishes each with
-  the same :meth:`result` everybody else uses.
+* the session server (:mod:`repro.serve.server`) holds one runtime per
+  oracle-driven session and finishes each with the same :meth:`result`
+  everybody else uses.
 
 The runtime accepts anything :func:`repro.core.session.start_session`
 accepts: a :class:`~repro.core.policy.Policy` (reset for a fresh search) or

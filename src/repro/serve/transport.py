@@ -24,10 +24,10 @@ Server -> client::
 
 Two session shapes, two serving paths:
 
-* **Target sessions** (``"target"``) ride :meth:`Server.aserve`
-  micro-batching: the transport bridges every connection's opens into
-  one queue-backed feed, and the server vectorizes whole cohorts per
-  shared plan.  This is the labelling-service hot path.
+* **Target sessions** (``"target"``) ride :meth:`Server.aserve`: the
+  transport bridges every connection's opens into one queue-backed feed,
+  and the server settles each from its plan's leaf table in one step.
+  This is the labelling-service hot path.
 * **Interactive sessions** (``"interactive"``) are driven by a
   per-session :class:`~repro.serve.SessionRuntime` *at the transport
   layer*.  The server's oracle path answers synchronously inside
@@ -627,8 +627,8 @@ class ServeTransport:
         """Client walked away from one session (explicit ``close`` frame)."""
         self._drop_interactive(conn, client_id)
         if client_id in conn.targets:
-            # The server finishes the session (cohorts are vectorized;
-            # plucking one out would cost more than letting it run) but
+            # The server finishes the session (it settles within one
+            # step; plucking it out of the feed is not worth it) but
             # its outcome now has nowhere to go: unroute it so _route
             # counts it orphaned instead of writing to the connection.
             conn.targets.discard(client_id)

@@ -11,14 +11,14 @@ Four contracts:
    :class:`~repro.faults.CircuitBreaker` (tick-counted trip ->
    cooldown -> probe -> restore).
 
-3. **Stack behaviour under faults** — pool/stream deadlines raise typed
+3. **Stack behaviour under faults** — pool deadlines raise typed
    :class:`~repro.exceptions.PoolTimeoutError` instead of hanging,
-   injected worker kills recover bit-identically, the server's breaker
-   degrades and *restores* streaming, and crash-atomic cache writes
-   never leave torn files.
+   injected worker kills recover bit-identically, server drains and
+   flaky oracles fail typed, and crash-atomic cache writes never leave
+   torn files.
 
-4. **Mini chaos soak** — seeded random fault schedules over a real
-   pool + server: termination, typed errors only, completed sessions
+4. **Mini chaos soak** — seeded random fault schedules over a live
+   server: termination, typed errors only, completed sessions
    bit-identical to fault-free serving (the full-size soak is
    ``benchmarks/bench_faults.py``).
 
@@ -35,8 +35,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule as _schedule
+from repro.core.costs import UnitCost
 from repro.core.oracle import ExactOracle
-from repro.core.session import run_search
+from repro.core.session import default_budget, run_search
 from repro.engine import EvaluationPool, simulate_all_targets
 from repro.engine.cache import EngineResultCache, result_key
 from repro.exceptions import (
@@ -355,21 +356,21 @@ class TestPoolDeadlines:
 
     def test_per_call_deadline_overrides_pool_default(self):
         plan, hierarchy, _ = _config(seed=22)
+        n = hierarchy.n
         with EvaluationPool(workers=1) as pool:  # no pool-wide deadline
-            # Boot + attach before the deadlined stream opens: spawn
-            # workers take longer than 0.3s to come up.
+            # Boot + attach before the deadlined walk: spawn workers take
+            # longer than 0.3s to come up.
             simulate_all_targets(plan, result_cache=False, pool=pool)
-            pool.publish(plan)
-            with pool.stream(plan, deadline=0.3) as stream:
-                stream.submit(list(hierarchy.nodes)[:5])
-                stream.join()  # warm: worker attached
-                pool._inject_sleep(60.0)
-                stream.submit(list(hierarchy.nodes)[:5])
-                give_up = time.monotonic() + 20.0
-                with pytest.raises(PoolTimeoutError, match="no progress"):
-                    while time.monotonic() < give_up:
-                        stream.poll()
-                        time.sleep(0.02)
+            pool._inject_sleep(60.0)
+            with pytest.raises(PoolTimeoutError, match="no progress"):
+                pool.run_walk(
+                    plan, hierarchy, UnitCost(),
+                    np.arange(n, dtype=np.int64),
+                    np.full(n, -1, dtype=np.int64),
+                    np.full(n, np.nan),
+                    default_budget(hierarchy), True,
+                    deadline=0.3,
+                )
 
     def test_deadline_validation(self):
         with pytest.raises(PoolError, match="deadline"):
@@ -415,130 +416,41 @@ class TestInjectedPoolFaults:
         plan, hierarchy, _ = _config(seed=26)
         fault = FaultPlan(
             [
-                FaultSpec("vanish_segment", at="stream.submit", nth=1),
-                FaultSpec("kill_worker", at="stream.poll", nth=1),
+                FaultSpec("vanish_segment", at="pool.acquire_for_walk", nth=1),
+                FaultSpec("kill_worker", at="pool.collect", nth=1),
             ]
         )
-        with EvaluationPool(workers=1) as pool:
-            with pool.stream(plan) as stream:
-                stream.submit(list(hierarchy.nodes)[:6])
-                stream.join()  # warm: worker attached to the segment
-                pool._inject_sleep(60.0)  # wedge it so the kill lands first
-                with fault.armed(pool=pool):
-                    stream.submit(list(hierarchy.nodes)[:6])
-                    give_up = time.monotonic() + 30.0
-                    with pytest.raises(PoolError):
-                        while time.monotonic() < give_up:
-                            stream.poll()
-                            time.sleep(0.02)
+        with EvaluationPool(workers=1, deadline=30.0) as pool:
+            # Warm: the worker attaches to the plan's segment.
+            simulate_all_targets(plan, result_cache=False, pool=pool)
+            pool._inject_sleep(60.0)  # wedge it so the kill lands first
+            with fault.armed(pool=pool):
+                with pytest.raises(PoolError):
+                    simulate_all_targets(plan, result_cache=False, pool=pool)
         assert {kind for _, _, kind in fault.trace} == {
             "vanish_segment", "kill_worker",
         }
 
 
-class TestServerBreaker:
-    def _server_pool(self, seed=31, **kw):
-        plan, hierarchy, _ = _config(seed=seed)
-        pool = EvaluationPool(workers=1)
-        server = Server(plan, pool=pool, **kw)
-        return plan, hierarchy, pool, server
-
-    def test_degrade_then_probe_then_restore(self):
-        plan, hierarchy, pool, server = self._server_pool(breaker_cooldown=2)
-        targets = list(hierarchy.nodes)[:12]
-        reference = _reference_outcomes(plan, hierarchy, targets)
-        outcomes = {}
-        with pool, server:
-            group = next(iter(server._groups.values()))
-            assert group.breaker is not None
-            # Phase 1: healthy streaming.
-            for i, t in enumerate(targets[:4]):
-                server.submit(SessionRequest(t, target=t))
-            outcomes.update(
-                {o.session_id: o for o in server.drain(timeout=30.0)}
-            )
-            # Phase 2: the pool "fails" — degrade trips the breaker.
-            group._degrade_to_local()
-            assert server.stats.trips == 1
-            assert group.stream is None
-            assert group.breaker.state == CircuitBreaker.OPEN
-            # Phase 3: traffic during cooldown is served locally; after
-            # `cooldown` steps the probe reopens the stream, and its
-            # success restores streaming.
-            pending = list(targets[4:])
-            give_up = time.monotonic() + 30.0
-            while (
-                pending or server.in_flight
-            ) and time.monotonic() < give_up:
-                if pending:
-                    t = pending.pop()
-                    server.submit(SessionRequest(t, target=t))
-                for o in server.step():
-                    outcomes[o.session_id] = o
-            assert server.stats.restores == 1
-            assert group.stream is not None
-            assert group.breaker.state == CircuitBreaker.CLOSED
-        assert set(outcomes) == set(targets)
-        for t in targets:
-            assert outcomes[t].ok, outcomes[t].error
-            assert outcomes[t].result == reference[t]
-
-    def test_pool_error_mid_collect_degrades_and_completes(self, monkeypatch):
-        """The pool dies mid-tick with a batch half-collected: the group
-        degrades, the batch re-runs locally, and every session still
-        finishes with the fault-free numbers."""
-        plan, hierarchy, pool, server = self._server_pool(
-            seed=32, breaker_cooldown=10_000
-        )
-        targets = list(hierarchy.nodes)[:10]
-        reference = _reference_outcomes(plan, hierarchy, targets)
-        with pool, server:
-            group = next(iter(server._groups.values()))
-            for t in targets:
-                server.submit(SessionRequest(t, target=t))
-            group.dispatch_stream()
-            assert group.tickets  # a batch is in flight
-            monkeypatch.setattr(
-                group.stream,
-                "poll",
-                lambda *a, **kw: (_ for _ in ()).throw(
-                    PoolError("injected mid-tick death")
-                ),
-            )
-            outcomes = {o.session_id: o for o in server.drain(timeout=30.0)}
-            assert group.stream is None
-            assert server.stats.trips == 1
-        assert set(outcomes) == set(targets)
-        for t in targets:
-            assert outcomes[t].result == reference[t]
-
-    def test_probe_against_closed_pool_keeps_retripping(self):
-        plan, hierarchy, pool, server = self._server_pool(
-            seed=33, breaker_cooldown=1
-        )
-        targets = list(hierarchy.nodes)[:6]
-        with server:
-            with pool:
-                group = next(iter(server._groups.values()))
-                group._degrade_to_local()
-            assert pool.closed
-            for t in targets:
-                server.submit(SessionRequest(t, target=t))
-            outcomes = {o.session_id: o for o in server.drain(timeout=30.0)}
-            # Every probe found a dead pool: re-trips, never a restore.
-            assert server.stats.trips >= 2
-            assert server.stats.restores == 0
-            assert group.stream is None
-        assert all(o.ok for o in outcomes.values())
-
+class TestServerUnderFaults:
     def test_drain_timeout_raises_typed_under_stall(self):
-        plan, hierarchy, pool, server = self._server_pool(seed=34)
-        with pool, server:
+        plan, hierarchy, _ = _config(seed=34)
+        depths = plan.leaf_depths()
+        target = max(depths, key=depths.get)
+        assert depths[target] >= 4
+        exact = ExactOracle(hierarchy, target)
+
+        class StalledOracle:
+            """A crowd worker taking 0.2s per answer."""
+
+            def answer(self, query):
+                time.sleep(0.2)
+                return exact.answer(query)
+
+        with Server(plan) as server:
             server.submit(SessionRequest("warm", target=hierarchy.root))
             server.drain(timeout=30.0)
-            pool._inject_sleep(60.0)  # the lone worker is now wedged
-            for i, t in enumerate(list(hierarchy.nodes)[:4]):
-                server.submit(SessionRequest(i, target=t))
+            server.submit(SessionRequest("stalled", oracle=StalledOracle()))
             with pytest.raises(ServeTimeoutError) as exc_info:
                 server.drain(timeout=0.5)
             message = str(exc_info.value)
@@ -645,41 +557,39 @@ class TestMiniSoak:
         plan, hierarchy, _ = _config(n=30, seed=51)
         targets = list(hierarchy.nodes)[:10]
         reference = _reference_outcomes(plan, hierarchy, targets)
-        with EvaluationPool(workers=2) as pool:
-            for seed in range(12):
-                fault = FaultPlan.random(
-                    seed,
-                    rate=0.03,
-                    kinds=("crash", "kill_worker", "slow"),
-                    max_faults=3,
-                )
-                server = Server(
-                    plan, pool=pool, deadline=5.0, breaker_cooldown=2
-                )
-                outcomes = {}
-                try:
-                    with fault.armed(pool=pool):
-                        try:
-                            for o in server.serve(
-                                SessionRequest(t, target=t) for t in targets
-                            ):
-                                outcomes[o.session_id] = o
-                        except ReproError:
-                            # An injected crash escaped through the serve
-                            # loop itself: typed, so the schedule is a
-                            # pass — sessions it cut short are unserved.
-                            pass
-                finally:
-                    server.close()
-                for sid, outcome in outcomes.items():
-                    if outcome.ok:
-                        assert outcome.result == reference[sid], (
-                            f"seed {seed} trace {fault.trace}"
-                        )
-                    else:
-                        assert isinstance(outcome.error, ReproError), (
-                            f"seed {seed} trace {fault.trace}"
-                        )
+        # Target sessions beside oracle sessions whose answers cross the
+        # oracle.answer site.
+        feed = [SessionRequest(t, target=t) for t in targets] + [
+            SessionRequest(
+                ("oracle", t), oracle=FlakyOracle(ExactOracle(hierarchy, t))
+            )
+            for t in targets[:4]
+        ]
+        for seed in range(12):
+            fault = FaultPlan.random(
+                seed, rate=0.03, kinds=("crash", "slow"), max_faults=3
+            )
+            outcomes = {}
+            with Server(plan, max_sessions=8) as server:
+                with fault.armed():
+                    try:
+                        for o in server.serve(iter(feed)):
+                            outcomes[o.session_id] = o
+                    except ReproError:
+                        # An injected crash escaped through the serve
+                        # loop itself: typed, so the schedule is a
+                        # pass — sessions it cut short are unserved.
+                        pass
+            for sid, outcome in outcomes.items():
+                target = sid[1] if isinstance(sid, tuple) else sid
+                if outcome.ok:
+                    assert outcome.result == reference[target], (
+                        f"seed {seed} trace {fault.trace}"
+                    )
+                else:
+                    assert isinstance(outcome.error, ReproError), (
+                        f"seed {seed} trace {fault.trace}"
+                    )
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Tests for the unified session runtime and the streaming serving layer.
+"""Tests for the unified session runtime and the session server.
 
-Three contracts:
+Four contracts:
 
 1. **Runtime parity** — :class:`repro.serve.SessionRuntime` (and therefore
    the ``run_search`` / online / console adapters now built on it) produces
@@ -8,17 +8,25 @@ Three contracts:
    inline loops, whose exact code is preserved here as references — for
    every registry policy, on trees and DAGs (hypothesis-driven seeds).
 
-2. **Server semantics** — micro-batched serving is byte-identical to
+2. **Server semantics** — served sessions are byte-identical to
    sequential ``run_search`` per session; admission control and per-tenant
    plan quotas reject with the documented exception types; oracle-driven
    and target-driven sessions mix.
 
-3. **Streaming pool mode** — :meth:`EvaluationPool.stream` batches match
-   ``simulate_all_targets`` on the same subsets, streams keep their plan
-   resident, and the server's pool offload serves identical results.
+3. **Leaf-table settlement** — for every target of a tree and a DAG plan,
+   ``Server.serve``, ``Server.aserve`` and the transport equal
+   ``run_search`` (label, count, price, transcript), budgets fail exactly
+   when a leaf is deeper than the budget, and unknown or leafless targets
+   fail typed.
+
+4. **Session accounting** — ``submitted`` balances against completed,
+   errored, abandoned, in-flight and queued sessions across normal,
+   rejected and abandoned feeds.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -27,19 +35,31 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.costs import TableCost, UnitCost, random_costs
 from repro.core.oracle import ExactOracle
 from repro.core.session import SearchResult, run_search, start_session
-from repro.engine import EvaluationPool, simulate_all_targets
+from repro.core.hierarchy import Hierarchy
+from repro.engine import simulate_all_targets
 from repro.exceptions import (
     AdmissionError,
     BudgetExceededError,
     PolicyError,
-    PoolError,
     QuotaExceededError,
+    ReproError,
     SearchError,
     ServeError,
 )
-from repro.plan import compile_policy
-from repro.policies import GreedyTreePolicy, available_policies, make_policy
-from repro.serve import Server, SessionRequest, SessionRuntime
+from repro.plan import CompiledPlan, compile_policy
+from repro.policies import (
+    GreedyDagPolicy,
+    GreedyTreePolicy,
+    available_policies,
+    make_policy,
+)
+from repro.serve import (
+    ServeClient,
+    Server,
+    ServeTransport,
+    SessionRequest,
+    SessionRuntime,
+)
 from repro.testing import (
     make_random_dag,
     make_random_tree,
@@ -361,6 +381,36 @@ class TestServerParity:
         for outcome in outcomes.values():
             assert isinstance(outcome.error, BudgetExceededError)
 
+    def test_over_budget_session_blames_only_itself(self):
+        """Over-budget sessions admitted beside cheap ones error alone:
+        the cheap ones complete, session for session like run_search."""
+        hierarchy = make_random_tree(60, seed=23)
+        plan = compile_policy(
+            GreedyTreePolicy(), hierarchy, random_distribution(hierarchy, 23)
+        )
+        depths = plan.leaf_depths()
+        budget = (min(depths.values()) + max(depths.values()) + 1) // 2
+        reference = {}
+        for t in hierarchy.nodes:
+            try:
+                reference[t] = run_search(
+                    plan, ExactOracle(hierarchy, t), hierarchy,
+                    max_queries=budget,
+                )
+            except BudgetExceededError:
+                reference[t] = None
+        cheap = [t for t, r in reference.items() if r is not None][:8]
+        costly = [t for t, r in reference.items() if r is None][:2]
+        assert cheap and costly, (depths, budget)
+        feed = [SessionRequest(t, target=t) for t in cheap + costly]
+        with Server(plan, max_queries=budget) as server:
+            outcomes = _served(server, iter(feed))
+        for t in cheap:
+            assert outcomes[t].ok, t
+            assert outcomes[t].result == reference[t]
+        for t in costly:
+            assert isinstance(outcomes[t].error, BudgetExceededError)
+
 
 class TestAdmissionControl:
     def _plan(self, n=60, seed=5):
@@ -493,19 +543,6 @@ class TestTenantQuotas:
             server.drain()
             server.release_plan(plan1)
 
-    def test_pool_backed_quota_pins_segments(self):
-        plan1, plan2, h1, h2 = self._plans()
-        with EvaluationPool(workers=1) as pool:
-            with Server(pool=pool, plan_quota=2) as server:
-                server.register_plan(plan1, tenant="acme")
-                assert plan1.config_key in pool.published_keys
-                # Pinned: publishing more plans cannot evict it.
-                server.register_plan(plan2, tenant="acme")
-                assert plan1.config_key in pool.published_keys
-                server.release_plan(plan1, tenant="acme")
-            # Server close released the remaining pins; pool can evict.
-            assert not pool.closed
-
 
 class TestServerAsync:
     def test_aserve_matches_serve(self, vehicle_hierarchy):
@@ -535,205 +572,258 @@ class TestServerAsync:
 
 
 # ----------------------------------------------------------------------
-# 3. Streaming pool mode
+# 3. Leaf-table settlement: every serving path equals run_search
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def pool():
-    with EvaluationPool(workers=2, max_plans=4) as pool:
-        yield pool
+def _leaf_plan(kind):
+    if kind == "tree":
+        hierarchy = make_random_tree(40, seed=3)
+        policy = GreedyTreePolicy()
+    else:
+        hierarchy = make_random_dag(32, seed=4)
+        policy = GreedyDagPolicy()
+    distribution = random_distribution(hierarchy, 5)
+    return compile_policy(policy, hierarchy, distribution), hierarchy
 
 
-class TestPlanStream:
-    def _config(self, n=50, seed=9):
-        hierarchy = make_random_tree(n, seed=seed)
-        distribution = random_distribution(hierarchy, seed)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        return plan, hierarchy, distribution
+def _aserved(server, requests):
+    async def feed():
+        for request in requests:
+            yield request
 
-    def test_batches_match_simulate_all_targets(self, pool):
-        plan, hierarchy, distribution = self._config()
-        rng = np.random.default_rng(0)
-        batches = [
-            [hierarchy.nodes[int(i)] for i in rng.integers(0, hierarchy.n, 8)]
-            for _ in range(4)
+    async def main():
+        return {o.session_id: o async for o in server.aserve(feed())}
+
+    return asyncio.run(main())
+
+
+def _wired(server, targets, *, errors=False):
+    """Serve ``targets`` over a localhost transport, in order."""
+
+    async def main():
+        async with ServeTransport(server) as transport:
+            host, port = transport.address
+            async with await ServeClient.connect(host, port) as client:
+                return await asyncio.gather(
+                    *(
+                        client.serve_target(f"w-{i}", t)
+                        for i, t in enumerate(targets)
+                    ),
+                    return_exceptions=errors,
+                )
+
+    return asyncio.run(main())
+
+
+def _assert_same(result, reference, record_transcripts):
+    assert result.returned == reference.returned
+    assert result.num_queries == reference.num_queries
+    assert result.total_price == reference.total_price
+    if record_transcripts:
+        assert result.transcript == reference.transcript
+    else:
+        assert result.transcript == ()
+
+
+class TestLeafTable:
+    @pytest.mark.parametrize("record_transcripts", [True, False])
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_every_target_matches_run_search(self, kind, record_transcripts):
+        plan, hierarchy = _leaf_plan(kind)
+        targets = list(hierarchy.nodes)
+        reference = [
+            run_search(plan, ExactOracle(hierarchy, t), hierarchy)
+            for t in targets
         ]
-        with pool.stream(plan) as stream:
-            tickets = [stream.submit(batch) for batch in batches]
-            done = {b.ticket: b for b in stream.join()}
-        assert set(done) == set(tickets)
-        for ticket, batch in zip(tickets, batches):
-            reference = simulate_all_targets(
-                plan, hierarchy, targets=batch, pool=False, result_cache=False
-            )
-            got = done[ticket]
-            assert np.array_equal(got.target_ix, reference.target_ix)
-            assert np.array_equal(
-                got.queries, reference.queries[reference.target_ix]
-            )
-            assert np.allclose(
-                got.prices, reference.prices[reference.target_ix]
-            )
+        requests = [SessionRequest(i, target=t) for i, t in enumerate(targets)]
+        with Server(
+            plan, max_sessions=16, record_transcripts=record_transcripts
+        ) as server:
+            served = _served(server, iter(requests))
+            # Target sessions settle in the first step after admission:
+            # one step per full window of 16, one for the rest.
+            assert server.stats.steps == len(targets) // 16 + 1
+            aserved = _aserved(server, requests)
+            wired = _wired(server, targets)
+        for i in range(len(targets)):
+            assert served[i].ok and aserved[i].ok
+            _assert_same(served[i].result, reference[i], record_transcripts)
+            _assert_same(aserved[i].result, reference[i], record_transcripts)
+            _assert_same(wired[i], reference[i], record_transcripts)
 
-    def test_submit_accepts_index_arrays(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            stream.submit(np.array([0, 3, 5], dtype=np.int64))
-            (batch,) = stream.join()
-        assert list(batch.target_ix) == [0, 3, 5]
-
-    def test_stream_keeps_plan_resident(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            assert plan.config_key in pool.published_keys
-            stream.submit([hierarchy.root])
-            stream.join()
-            assert plan.config_key in pool.published_keys
-
-    def test_poll_never_blocks_and_join_drains(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            assert stream.poll() == []  # nothing submitted: empty, instant
-            stream.submit([hierarchy.root])
-            results = stream.join()
-            assert len(results) == 1
-            assert stream.pending == 0
-
-    def test_closed_stream_rejects_submission(self, pool):
-        plan, hierarchy, _ = self._config()
-        stream = pool.stream(plan)
-        stream.close()
-        with pytest.raises(PoolError, match="closed"):
-            stream.submit([hierarchy.root])
-        stream.close()  # idempotent
-
-    def test_stream_composes_with_run_batch(self, pool):
-        """A synchronous walk between stream submissions must not eat the
-        stream's results (routing by task id)."""
-        plan, hierarchy, distribution = self._config(n=40, seed=11)
-        with pool.stream(plan) as stream:
-            ticket = stream.submit(list(hierarchy.nodes)[:10])
-            # A full walk on the same pool while the batch is in flight.
-            engine = simulate_all_targets(
-                plan, hierarchy, pool=pool, result_cache=False
-            )
-            assert engine.num_targets == hierarchy.n
-            done = stream.join()
-        assert [b.ticket for b in done] == [ticket]
-
-    def test_empty_batch_rejected(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            with pytest.raises(PoolError, match="at least one"):
-                stream.submit([])
-
-    def test_worker_death_mid_stream_recovers(self):
-        """SIGKILL while a batch is in flight: join restarts the pool,
-        resubmits the outstanding batches, and the numbers still match."""
-        import os
-        import signal
-        import time
-
-        plan, hierarchy, _ = self._config(n=45, seed=15)
-        targets = list(hierarchy.nodes)[:12]
-        reference = simulate_all_targets(
-            plan, hierarchy, targets=targets, pool=False, result_cache=False
-        )
-        with EvaluationPool(workers=1) as mortal:
-            with mortal.stream(plan) as stream:
-                stream.submit(targets)
-                stream.join()  # warm: worker attached, first batch done
-                mortal._inject_sleep(60.0)  # the lone worker is now busy
-                ticket = stream.submit(targets)
-                time.sleep(0.3)
-                os.kill(mortal._procs[0].pid, signal.SIGKILL)
-                (batch,) = stream.join()
-                assert batch.ticket == ticket
-                assert mortal.respawns >= 1
-        assert np.array_equal(
-            batch.queries, reference.queries[reference.target_ix]
-        )
-
-    def test_failed_batch_surfaces_as_typed_outcomes(self, pool):
-        """A worker-side session failure (budget) must become per-session
-        error outcomes, not an exception out of the serve generator — the
-        same contract the local stepping path honors."""
-        plan, hierarchy, _ = self._config(n=50, seed=19)
-        deep = [t for t in hierarchy.nodes if hierarchy.depth(t) >= 2][:6]
-        with Server(plan, pool=pool, max_queries=1) as server:
-            outcomes = _served(
-                server,
-                (SessionRequest(i, target=t) for i, t in enumerate(deep)),
-            )
-        assert len(outcomes) == len(deep)
-        for outcome in outcomes.values():
-            assert isinstance(outcome.error, BudgetExceededError)
-        # The server survives: a good feed still serves afterwards.
-        with Server(plan, pool=pool) as server:
-            good = _served(server, [SessionRequest("ok", target=deep[0])])
-        assert good["ok"].ok
-
-    def test_failed_batch_blames_only_the_offender(self, pool):
-        """One over-budget session inside a pool batch must not fail its
-        co-batched sessions: the batch falls back to local stepping, which
-        errors exactly the offenders and completes the rest — matching a
-        server without a pool session for session."""
-        plan, hierarchy, _ = self._config(n=60, seed=23)
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_budget_below_equal_above_depth(self, kind):
+        plan, hierarchy = _leaf_plan(kind)
         depths = plan.leaf_depths()
-        budget = (min(depths.values()) + max(depths.values()) + 1) // 2
-        reference = {}
-        for t in hierarchy.nodes:
+        target = max(depths, key=depths.get)
+        depth = depths[target]
+        assert depth >= 2
+        for budget in (depth - 1, depth, depth + 1):
+            oracle = ExactOracle(hierarchy, target)
             try:
-                reference[t] = run_search(
-                    plan, ExactOracle(hierarchy, t), hierarchy,
-                    max_queries=budget,
+                reference = run_search(
+                    plan, oracle, hierarchy, max_queries=budget
                 )
             except BudgetExceededError:
-                reference[t] = None
-        cheap = [t for t, r in reference.items() if r is not None][:8]
-        costly = [t for t, r in reference.items() if r is None][:2]
-        assert cheap and costly, (depths, budget)
+                reference = None
+            assert (reference is None) == (budget < depth)
+            request = SessionRequest("s", target=target)
+            with Server(plan, max_queries=budget) as server:
+                outcomes = [
+                    _served(server, [request])["s"],
+                    _aserved(server, [request])["s"],
+                ]
+                (wired,) = _wired(server, [target], errors=True)
+            message = f"session 's' exceeded the query budget of {budget} questions"
+            for outcome in outcomes:
+                if reference is None:
+                    assert type(outcome.error) is BudgetExceededError
+                    assert str(outcome.error) == message
+                else:
+                    assert outcome.result == reference
+            if reference is None:
+                assert type(wired) is BudgetExceededError
+                assert str(wired).endswith(
+                    f"exceeded the query budget of {budget} questions"
+                )
+            else:
+                assert wired == reference
+
+    def test_single_node_plan_settles_at_depth_zero(self):
+        hierarchy = Hierarchy([], nodes=["only"])
+        plan = compile_policy(GreedyTreePolicy(), hierarchy)
+        reference = run_search(plan, ExactOracle(hierarchy, "only"), hierarchy)
+        assert reference.num_queries == 0
+        with Server(plan, max_queries=0) as server:
+            outcome = _served(server, [SessionRequest(0, target="only")])[0]
+        assert outcome.result == reference
+
+    def test_unknown_and_leafless_targets_are_typed(self):
+        hierarchy = Hierarchy([("r", "a"), ("r", "b")])
+        a, r = hierarchy.index("a"), hierarchy.index("r")
+        # Asks "a?" and identifies a or r: b has no leaf.
+        plan = CompiledPlan(
+            hierarchy,
+            np.array([a, -1, -1]),
+            np.array([1, -1, -1]),
+            np.array([2, -1, -1]),
+            np.array([-1, a, r]),
+            policy_name="partial",
+            config_key="",
+        )
         feed = [
-            SessionRequest(t, target=t) for t in cheap + costly
+            SessionRequest("b", target="b"),
+            SessionRequest("ghost", target="no-such-category"),
+            SessionRequest("a", target="a"),
         ]
-        with Server(plan, pool=pool, max_queries=budget) as server:
+        with Server(plan) as server:
             outcomes = _served(server, iter(feed))
-        for t in cheap:
-            assert outcomes[t].ok, t
-            assert outcomes[t].result == reference[t]
-        for t in costly:
-            assert isinstance(outcomes[t].error, BudgetExceededError)
+        assert type(outcomes["b"].error) is SearchError
+        assert str(outcomes["b"].error) == (
+            "plan of 'partial' has no leaf for target 'b'"
+        )
+        assert isinstance(outcomes["ghost"].error, ReproError)
+        assert outcomes["a"].result == run_search(
+            plan, ExactOracle(hierarchy, "a"), hierarchy
+        )
 
-    def test_stream_poll_reports_errors_without_raising(self, pool):
-        plan, hierarchy, _ = self._config(n=50, seed=20)
-        deep = [t for t in hierarchy.nodes if hierarchy.depth(t) >= 2][:4]
-        with pool.stream(plan, max_queries=1) as stream:
-            stream.submit(deep)
-            (batch,) = stream.join(raise_errors=False)
-        assert not batch.ok
-        assert isinstance(batch.error, BudgetExceededError)
-        # ...and the default contract still raises.
-        with pool.stream(plan, max_queries=1) as stream:
-            stream.submit(deep)
-            with pytest.raises(BudgetExceededError):
-                stream.join()
 
-    def test_server_pool_offload_parity(self, pool):
-        plan, hierarchy, distribution = self._config(n=60, seed=13)
-        rng = np.random.default_rng(3)
-        targets = [
-            hierarchy.nodes[int(i)] for i in rng.integers(0, hierarchy.n, 48)
-        ]
-        with Server(plan, pool=pool, max_sessions=16) as server:
-            outcomes = _served(
-                server,
-                (SessionRequest(i, target=t) for i, t in enumerate(targets)),
+# ----------------------------------------------------------------------
+# 4. Session accounting across feeds
+# ----------------------------------------------------------------------
+class TestServeAccounting:
+    """``submitted == completed + errored + abandoned + in_flight + queued``.
+
+    Feed-admission errors (an unknown label, a request naming neither
+    target nor oracle) are rejected before admission: they count in
+    ``errored`` but never in ``submitted``, so the balance subtracts
+    them.  Capacity and quota rejections count only in ``rejected``.
+    """
+
+    @staticmethod
+    def _assert_balanced(server, admission_errors):
+        stats = server.stats
+        assert stats.submitted == (
+            stats.completed
+            + (stats.errored - admission_errors)
+            + stats.abandoned
+            + server.in_flight
+            + server.queued
+        ), stats
+
+    def test_counters_balance_across_feeds(self):
+        plan, hierarchy = _leaf_plan("tree")
+        other, other_h = _leaf_plan("dag")
+        targets = list(hierarchy.nodes)
+        depths = plan.leaf_depths()
+        with Server(plan, max_sessions=4, plan_quota=1) as server:
+            # A normal feed: everything completes.
+            list(server.serve(SessionRequest(t, target=t) for t in targets))
+            assert server.stats.completed == len(targets)
+            self._assert_balanced(server, 0)
+
+            # Rejections: unknown label, malformed request, quota, and
+            # over-budget sessions (submitted, then errored).
+            feed = [
+                SessionRequest("ghost", target="no-such-category"),
+                SessionRequest("empty"),
+                SessionRequest(
+                    "quota", target=other_h.root, plan=other, tenant="default"
+                ),
+                SessionRequest("ok", target=targets[0]),
+            ]
+            outcomes = {o.session_id: o for o in server.serve(iter(feed))}
+            assert isinstance(outcomes["quota"].error, QuotaExceededError)
+            assert server.stats.rejected == 1
+            self._assert_balanced(server, admission_errors=2)
+
+            # Abandoned sync feed: outcomes settled but never delivered.
+            gen = server.serve(
+                SessionRequest(("s", t), target=t) for t in targets
             )
-        assert server.stats.offloaded == len(targets)
-        for i, target in enumerate(targets):
-            reference = run_search(
-                plan, ExactOracle(hierarchy, target), hierarchy
+            next(gen)
+            gen.close()
+            self._assert_balanced(server, admission_errors=2)
+            assert server.stats.abandoned > 0
+
+            # Abandoned async feed.
+            async def drop_after_one():
+                async def feed():
+                    for t in targets:
+                        yield SessionRequest(("a", t), target=t)
+
+                agen = server.aserve(feed())
+                await agen.__anext__()
+                await agen.aclose()
+
+            before = server.stats.abandoned
+            asyncio.run(drop_after_one())
+            assert server.stats.abandoned > before
+            self._assert_balanced(server, admission_errors=2)
+            assert server.in_flight == 0 and server.queued == 0
+
+        deep = [t for t in targets if depths[t] >= 2]
+        with Server(plan, max_queries=1) as server:
+            outcomes = list(
+                server.serve(SessionRequest(t, target=t) for t in deep)
             )
-            assert outcomes[i].result == reference, (i, target)
+            assert all(
+                isinstance(o.error, BudgetExceededError) for o in outcomes
+            )
+            assert server.stats.errored == len(deep)
+            self._assert_balanced(server, 0)
+
+    def test_queued_and_in_flight_sessions_balance(self):
+        plan, hierarchy = _leaf_plan("tree")
+        with Server(plan, max_sessions=2, queue_limit=2) as server:
+            for i in range(4):
+                server.submit(SessionRequest(i, target=hierarchy.root))
+            with pytest.raises(AdmissionError):
+                server.submit(SessionRequest(9, target=hierarchy.root))
+            assert server.in_flight == 2 and server.queued == 2
+            self._assert_balanced(server, 0)
+            server.drain()
+            self._assert_balanced(server, 0)
+            assert server.stats.completed == 4
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,16 @@ Five contracts:
    transport keeps serving everyone else.
 
 4. **Event-loop liveness** — the regression test for the ``aserve``
-   stall bug: while one connection's cohort is inside a blocking
-   ``step()`` (the pool-collect path, emulated with a deterministic
-   sleep), a second connection's pings keep round-tripping, proving the
-   collect runs off-loop (``asyncio.to_thread``).
+   stall bug: while one connection's session is inside a blocking
+   ``step()`` (emulated with a deterministic sleep), a second
+   connection's pings keep round-tripping, proving the step runs
+   off-loop (``asyncio.to_thread``).
 
 5. **Abandoned-generator hygiene** — breaking out of ``serve()`` /
-   ``aserve()`` mid-flight reclaims every in-flight session, group
-   ticket, and stream pin; runs under ``REPRO_SANITIZE=1`` so any
-   accounting or pin drift raises :class:`SanitizerError`.
+   ``aserve()`` mid-flight reclaims every in-flight session and counts
+   every settled-but-undelivered outcome as abandoned; runs under
+   ``REPRO_SANITIZE=1`` so any accounting drift raises
+   :class:`SanitizerError`.
 
 Plus the open-loop load generator: deterministic schedules for a seed,
 sane percentile math, and a short end-to-end run over the real wire.
@@ -41,7 +42,6 @@ import pytest
 
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool
 from repro.exceptions import (
     AdmissionError,
     QuotaExceededError,
@@ -389,7 +389,7 @@ class TestDisconnects:
 
         result, stats = asyncio.run(main())
         assert result == reference
-        # The server finished the orphans (vectorized cohorts run to
+        # The server finished the orphans (admitted sessions run to
         # completion); nothing leaked.
         assert stats.completed == len(targets) + 1
 
@@ -535,12 +535,11 @@ class TestEventLoopLiveness:
     def test_second_connection_progresses_during_blocking_collect(
         self, monkeypatch
     ):
-        """The bug this PR fixes: ``aserve`` used to run the blocking
-        ``step()`` (pool poll/collect included) directly on the event
-        loop, so while one cohort was inside a collect *every other
-        connection froze*.  With the collect in ``asyncio.to_thread``,
-        connection B's pings must round-trip while connection A's
-        session is pinned inside a 0.5s step."""
+        """``aserve`` once ran the blocking ``step()`` directly on the
+        event loop, so while one step ran *every other connection
+        froze*.  With the step in ``asyncio.to_thread``, connection B's
+        pings must round-trip while connection A's session is pinned
+        inside a 0.5s step."""
         plan, hierarchy, _ = _config()
         target = list(hierarchy.nodes)[7]
 
@@ -549,8 +548,8 @@ class TestEventLoopLiveness:
                 real_step = server.step
 
                 def blocking_step():
-                    # Stand-in for a pool collect: deterministic, long,
-                    # and genuinely blocking the calling thread.
+                    # Stand-in for a slow step: deterministic, long, and
+                    # genuinely blocking the calling thread.
                     time.sleep(0.5)
                     return real_step()
 
@@ -611,7 +610,7 @@ class TestAbandonedFeeds:
                 server.serve(iter([SessionRequest("again", target=targets[0])]))
             )
             assert outcomes[0].ok
-        # close() ran its sanitizer pin audit without tripping.
+        # The reclaim ran its sanitizer accounting audit without tripping.
 
     def test_aserve_abandoned_midflight_reclaims(self, sanitized):
         plan, hierarchy, _ = _config()
@@ -632,40 +631,33 @@ class TestAbandonedFeeds:
 
         assert asyncio.run(main()) > 0
 
-    def test_abandoned_transport_client_leaves_zero_pin_drift(
+    def test_abandoned_transport_client_leaves_zero_accounting_drift(
         self, sanitized
     ):
-        """The acceptance scenario: a pool-backed server (stream pins
-        live in the pool registry), a client that abandons mid-flight,
-        then a clean drain — ``close()``'s sanitizer audits must all
-        pass and nothing stays pinned."""
+        """The acceptance scenario: a client that abandons every session
+        mid-flight, then a clean drain — the sanitizer's session audit
+        must pass, nothing stays in flight, and every session is either
+        completed (routed to the dead connection as orphaned) or
+        abandoned."""
         plan, hierarchy, _ = _config(n=60, seed=13)
         targets = list(hierarchy.nodes)[:12]
 
         async def main():
-            with EvaluationPool(workers=2, max_plans=4) as pool:
-                with Server(plan, pool=pool, max_sessions=16) as server:
-                    async with ServeTransport(server) as transport:
-                        host, port = transport.address
-                        _, writer = await _raw_connect(host, port)
-                        for i, t in enumerate(targets):
-                            writer.write(
-                                _encode(
-                                    {
-                                        "op": "open",
-                                        "id": f"x-{i}",
-                                        "target": t,
-                                    }
-                                )
-                            )
-                        await writer.drain()
-                        writer.close()  # abandon every session
-                        await _poll(lambda: server.stats.completed >= 1)
-                    assert server.in_flight == 0
-                    drift = transport.stats.orphaned
-                # Server close passed its REPRO_SANITIZE pin audit and
-                # released every stream pin back to the pool.
-                return drift
+            with Server(plan, max_sessions=16) as server:
+                async with ServeTransport(server) as transport:
+                    host, port = transport.address
+                    _, writer = await _raw_connect(host, port)
+                    for i, t in enumerate(targets):
+                        writer.write(
+                            _encode({"op": "open", "id": f"x-{i}", "target": t})
+                        )
+                    await writer.drain()
+                    writer.close()  # abandon every session
+                    await _poll(lambda: server.stats.completed >= 1)
+                assert server.in_flight == 0 and server.queued == 0
+                stats = server.stats
+                assert stats.submitted == stats.completed + stats.abandoned
+                return transport.stats.orphaned
 
         assert asyncio.run(main()) >= 1
 
@@ -733,36 +725,33 @@ class TestLoadgen:
 
 
 # ----------------------------------------------------------------------
-# 8. Pool-backed serving over the wire (fork and spawn via CI legs)
+# 8. The full stack over the wire
 # ----------------------------------------------------------------------
-class TestPoolBackedTransport:
-    def test_offloaded_sessions_bit_identical_over_wire(self):
-        """The full stack: socket -> feed bridge -> aserve -> pool
-        streaming offload -> outcome routing.  Runs under both start
-        methods via the REPRO_POOL_START_METHOD CI legs."""
+class TestFullStackTransport:
+    def test_sessions_past_capacity_bit_identical_over_wire(self):
+        """The full stack: socket -> feed bridge -> aserve backpressure
+        (more sessions than ``max_sessions``) -> leaf-table settlement ->
+        outcome routing."""
         plan, hierarchy, _ = _config(n=60, seed=13)
         targets = list(hierarchy.nodes)[:24]
         reference = _references(plan, hierarchy, targets)
 
         async def main():
-            with EvaluationPool(workers=2, max_plans=4) as pool:
-                with Server(plan, pool=pool, max_sessions=16) as server:
-                    async with ServeTransport(server) as transport:
-                        host, port = transport.address
-                        async with await ServeClient.connect(
-                            host, port
-                        ) as client:
-                            results = await asyncio.gather(
-                                *(
-                                    client.serve_target(f"p-{i}", t)
-                                    for i, t in enumerate(targets)
-                                )
+            with Server(plan, max_sessions=16) as server:
+                async with ServeTransport(server) as transport:
+                    host, port = transport.address
+                    async with await ServeClient.connect(host, port) as client:
+                        results = await asyncio.gather(
+                            *(
+                                client.serve_target(f"p-{i}", t)
+                                for i, t in enumerate(targets)
                             )
-                    offloaded = server.stats.offloaded
-            return results, offloaded
+                        )
+                completed = server.stats.completed
+            return results, completed
 
-        results, offloaded = asyncio.run(main())
-        assert offloaded == len(targets)
+        results, completed = asyncio.run(main())
+        assert completed == len(targets)
         for target, result in zip(targets, results):
             assert result == reference[target], target
 
