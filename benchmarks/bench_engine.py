@@ -65,8 +65,8 @@ def run_benchmark(
     seed: int = 0,
 ) -> dict:
     """Time the engine pass and the per-target loop; return a JSON-able dict."""
-    # Installed cache/jobs defaults would turn the timed engine pass into
-    # a disk load; clear them for the timed region only.
+    # Installed cache/pool defaults would turn the timed engine pass into
+    # a disk load or a pooled walk; clear them for the timed region only.
     with neutral_defaults():
         return _timed_benchmark(n_target, branching, loop_targets, seed)
 

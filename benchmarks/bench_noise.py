@@ -12,8 +12,8 @@ the *plan-based* per-session reference
 (:func:`~repro.engine.belief.reference_noisy`, the stack
 ``CountingOracle(MajorityVote(CountingOracle(Noisy(Exact))))`` walking
 the same compiled plan with the same seed spawns), which the engine must
-match *bit-identically* session for session — inline, ``jobs=``, and
-``batch_size=`` alike.  Both baselines are timed on a slice and
+match *bit-identically* session for session — inline, on a fresh
+evaluation pool, and ``batch_size=`` alike.  Both baselines are timed on a slice and
 extrapolated per session (they are the slow side by construction); the
 benchmark also re-checks the study's accuracy ordering and emits
 ``BENCH_noise.json`` in the common machine-readable schema (see
@@ -57,6 +57,7 @@ from bench_json import write_bench_json
 from repro.core import ErrorRateModel
 from repro.core.oracle import CountingOracle, MajorityVoteOracle
 from repro.core.session import run_search
+from repro.engine import EvaluationPool
 from repro.engine.belief import reference_noisy, simulate_noisy
 from repro.exceptions import SearchError
 from repro.experiments import noise
@@ -67,6 +68,12 @@ from repro.taxonomy import amazon_catalog, amazon_like
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 SPEEDUP_FLOOR = 25.0
+
+
+def _on_fresh_pool(*args, **kwargs):
+    """One sweep on a new two-worker evaluation pool, closed afterwards."""
+    with EvaluationPool(workers=2) as pool:
+        return simulate_noisy(*args, pool=pool, **kwargs)
 
 
 def _equal(a, b) -> bool:
@@ -156,13 +163,9 @@ def run_benchmark(
     )
     parity_ok = (
         _equal(batched_slice, ref_slice)
-        and _equal(
-            batched_slice,
-            simulate_noisy(
-                plan, hierarchy, targets=slice_targets, replications=1,
-                jobs=2, **common,
-            ),
-        )
+        and _equal(batched_slice, _on_fresh_pool(
+            plan, hierarchy, targets=slice_targets, replications=1, **common,
+        ))
         and _equal(
             batched_slice,
             simulate_noisy(

@@ -5,18 +5,22 @@ all-targets evaluation of a >= 10k-node ImageNet-like DAG (above
 ``_MATRIX_NODE_LIMIT``, so the packed-bitset reachability block is the
 active splitter) plus a small-n companion DAG for the persistent pool:
 
-* **sharded walk** — ``simulate_all_targets(plan, jobs=N)`` versus the
-  sequential ``jobs=1`` walk, with bit-identical per-target arrays.  Note
-  the ceiling: ``jobs=N`` can never beat ``N``x, so the headline assertion
-  uses the full worker count while ``jobs=2`` is reported alongside;
+* **sharded walk** — ``simulate_all_targets(plan, pool=...)`` on an
+  :class:`repro.engine.EvaluationPool` of N workers versus the sequential
+  ``pool=False`` walk, with bit-identical per-target arrays.  One untimed
+  priming walk publishes the plan and attaches the workers first, just as
+  the compile and the bitset build stay untimed; that first walk is
+  reported as ``first_walk_seconds``.  Note the ceiling: N workers can
+  never beat ``N``x, so the headline assertion uses the full worker count
+  while a two-worker pool is reported alongside;
 * **bitset splitter** — the packed-bitset kernel versus the legacy
   cached-descendant-``frozenset`` membership scan it replaces on big DAGs;
 * **engine-result cache** — a warm :class:`repro.engine.EngineResultCache`
   must answer in O(load) time with zero plan walks;
 * **persistent pool** — repeated *small-n* evaluations on a warm
-  :class:`repro.engine.EvaluationPool` versus per-call pool spin-ups (the
-  ~20 ms fork-and-pickle tax the pool removes), and an overlapped
-  ``compare_policies(..., pool=...)`` versus policy-serial sharded walks —
+  :class:`repro.engine.EvaluationPool` versus a fresh pool per call (the
+  fork-and-publish tax a long-lived pool removes), and an overlapped
+  ``compare_policies(..., pool=...)`` versus one fresh pool per policy —
   both with results exactly equal to the serial path.
 
 Run standalone::
@@ -30,14 +34,15 @@ Environment knobs:
 ``REPRO_BENCH_PARALLEL_N``
     Approximate node count of the DAG (default 12000).
 ``REPRO_BENCH_PARALLEL_JOBS``
-    Worker count for the headline speedup (default: all cores, capped at 4).
+    Pool worker count for the headline speedup (default: all cores,
+    capped at 4).
 ``REPRO_BENCH_PARALLEL_MIN_SPEEDUP``
     Speedup floor asserted by the CI gate (default 2.0; the gate is skipped
     on single-core machines, where no wall-clock speedup is possible).
 ``REPRO_BENCH_POOL_N`` / ``REPRO_BENCH_POOL_REPEATS``
     Node count (default 400) and repetition count (default 8) of the
     small-n warm-pool measurement — small on purpose: this is the regime
-    where per-call pool spin-up dominates and the persistent pool pays.
+    where a per-call pool spin-up dominates and the persistent pool pays.
 ``REPRO_BENCH_POOL_MIN_SPEEDUP``
     Warm-pool floor (default 5.0; capped at 2.5 on single-core machines,
     where queue round-trips contend with the walk for the one core).
@@ -83,28 +88,50 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 _SPLIT_QUERIES = 20
 
 
-def _default_jobs() -> int:
+def _default_workers() -> int:
     return max(2, min(4, os.cpu_count() or 1))
 
 
 def run_benchmark(
     n_target: int = 12_000,
-    jobs: int | None = None,
+    workers: int | None = None,
     policy_name: str = "topdown",
     seed: int = 1,
 ) -> dict:
     """Time the three levers on one >= 10k-node DAG; return a JSON-able dict."""
-    # Installed defaults (REPRO_PLAN_CACHE / REPRO_RESULT_CACHE / --jobs)
-    # would serve the second and third timed walks from disk and fabricate
-    # the speedups; clear them for the timed region only.
+    # Installed defaults (REPRO_PLAN_CACHE / REPRO_RESULT_CACHE /
+    # REPRO_POOL_WORKERS) would serve the timed walks from disk or from a
+    # pool and fabricate the speedups; clear them for the timed region only.
     with neutral_defaults():
-        return _timed_benchmark(n_target, jobs, policy_name, seed)
+        return _timed_benchmark(n_target, workers, policy_name, seed)
+
+
+def _pooled_walk(plan, workers: int):
+    """Walk ``plan`` on a fresh pool of ``workers``: one untimed priming
+    walk (publish + attach), then one timed warm walk.
+
+    Returns ``(first_seconds, warm_seconds, result)``.
+    """
+    with EvaluationPool(workers=workers) as pool:
+        start = time.perf_counter()
+        simulate_all_targets(plan, pool=pool)
+        first_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        result = simulate_all_targets(plan, pool=pool)
+        return first_seconds, time.perf_counter() - start, result
+
+
+def _on_fresh_pool(fn, workers: int, *args, **kwargs):
+    """``fn(*args, pool=<new pool>, **kwargs)`` — spin-up and teardown
+    included, the per-call cost a long-lived pool removes."""
+    with EvaluationPool(workers=workers) as pool:
+        return fn(*args, pool=pool, **kwargs)
 
 
 def _timed_benchmark(
-    n_target: int, jobs: int | None, policy_name: str, seed: int
+    n_target: int, workers: int | None, policy_name: str, seed: int
 ) -> dict:
-    jobs = jobs or _default_jobs()
+    workers = workers or _default_workers()
     hierarchy = imagenet_like(n_target, seed=seed)
     distribution = TargetDistribution.equal(hierarchy)
 
@@ -119,19 +146,14 @@ def _timed_benchmark(
     bitset_build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    sequential = simulate_all_targets(plan, jobs=1)
+    sequential = simulate_all_targets(plan, pool=False)
     seq_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    sharded = simulate_all_targets(plan, jobs=jobs)
-    par_seconds = time.perf_counter() - start
-
-    if jobs == 2:
+    first_seconds, par_seconds, sharded = _pooled_walk(plan, workers)
+    if workers == 2:
         two_way, two_seconds = sharded, par_seconds
     else:
-        start = time.perf_counter()
-        two_way = simulate_all_targets(plan, jobs=2)
-        two_seconds = time.perf_counter() - start
+        _, two_seconds, two_way = _pooled_walk(plan, 2)
 
     parity_ok = (
         np.array_equal(sequential.queries, sharded.queries)
@@ -164,10 +186,10 @@ def _timed_benchmark(
     with tempfile.TemporaryDirectory() as tmp:
         cache = EngineResultCache(tmp)
         start = time.perf_counter()
-        cold = simulate_all_targets(plan, jobs=1, result_cache=cache)
+        cold = simulate_all_targets(plan, pool=False, result_cache=cache)
         cold_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        warm = simulate_all_targets(plan, jobs=1, result_cache=cache)
+        warm = simulate_all_targets(plan, pool=False, result_cache=cache)
         warm_seconds = time.perf_counter() - start
         cache_ok = (
             cache.hits == 1
@@ -177,8 +199,8 @@ def _timed_benchmark(
         )
 
     # Persistent pool: repeated small-n evaluations + overlapped compare.
-    # Small on purpose — this is the regime where the ~20 ms per-call pool
-    # spin-up dominates and a warm pool's queue round-trips do not.
+    # Small on purpose — this is the regime where a per-call pool spin-up
+    # dominates and a warm pool's queue round-trips do not.
     pool_n = int(os.environ.get("REPRO_BENCH_POOL_N", "400"))
     pool_repeats = int(os.environ.get("REPRO_BENCH_POOL_REPEATS", "8"))
     small = imagenet_like(pool_n, seed=seed + 1)
@@ -188,16 +210,14 @@ def _timed_benchmark(
         for name in ("topdown", "greedy-dag")
     ]
     lead = small_plans[0]
-    reference = simulate_all_targets(
-        lead, jobs=1, result_cache=False, pool=False
-    )
+    reference = simulate_all_targets(lead, result_cache=False, pool=False)
     start = time.perf_counter()
     for _ in range(pool_repeats):
-        per_call = simulate_all_targets(
-            lead, jobs=jobs, result_cache=False, pool=False
+        per_call = _on_fresh_pool(
+            simulate_all_targets, workers, lead, result_cache=False
         )
     pool_cold_seconds = time.perf_counter() - start
-    with EvaluationPool(workers=jobs) as pool:
+    with EvaluationPool(workers=workers) as pool:
         # One priming walk publishes the plan and attaches every worker;
         # the timed region is the steady warm state a long-lived service
         # actually runs in.
@@ -217,10 +237,13 @@ def _timed_benchmark(
         )
 
         start = time.perf_counter()
-        serial_cmp = compare_policies(
-            small_plans, small, small_dist,
-            jobs=jobs, pool=False, result_cache=False,
-        )
+        serial_cmp = [
+            _on_fresh_pool(
+                compare_policies, workers, [small_plan], small, small_dist,
+                result_cache=False,
+            ).results[0]
+            for small_plan in small_plans
+        ]
         compare_serial_seconds = time.perf_counter() - start
         start = time.perf_counter()
         overlap_cmp = compare_policies(
@@ -231,7 +254,7 @@ def _timed_benchmark(
             a.policy == b.policy
             and a.expected_queries == b.expected_queries
             and a.expected_price == b.expected_price
-            for a, b in zip(serial_cmp.results, overlap_cmp.results)
+            for a, b in zip(serial_cmp, overlap_cmp.results)
         )
 
     return {
@@ -240,14 +263,15 @@ def _timed_benchmark(
         "n": hierarchy.n,
         "m": hierarchy.m,
         "height": hierarchy.height,
-        "jobs": jobs,
+        "workers": workers,
         "cpu_count": os.cpu_count(),
         "compile_seconds": round(compile_seconds, 6),
         "bitset_build_seconds": round(bitset_build_seconds, 6),
-        "walk_seconds_jobs1": round(seq_seconds, 6),
-        "walk_seconds_jobs2": round(two_seconds, 6),
+        "walk_seconds_sequential": round(seq_seconds, 6),
+        "first_walk_seconds": round(first_seconds, 6),
+        "walk_seconds_2workers": round(two_seconds, 6),
         "walk_seconds_sharded": round(par_seconds, 6),
-        "speedup_jobs2": round(seq_seconds / two_seconds, 2),
+        "speedup_2workers": round(seq_seconds / two_seconds, 2),
         "speedup_sharded": round(seq_seconds / par_seconds, 2),
         "parity_ok": parity_ok,
         "split_us_bitset": round(1e6 * bits_split_seconds / _SPLIT_QUERIES, 2),
@@ -291,16 +315,16 @@ def _check(payload: dict, min_speedup: float) -> list[str]:
             f"warm result-cache speedup {payload['speedup_warm_cache']}x "
             "is below the 5x floor over the cold walk"
         )
-    floor = _effective_floor(min_speedup, payload["jobs"])
+    floor = _effective_floor(min_speedup, payload["workers"])
     if floor is not None and payload["speedup_sharded"] < floor:
         failures.append(
             f"sharded walk speedup {payload['speedup_sharded']}x "
-            f"(jobs={payload['jobs']}) is below the {floor}x floor"
+            f"({payload['workers']} workers) is below the {floor}x floor"
         )
     two_floor = _effective_floor(min_speedup, 2)
-    if two_floor is not None and payload["speedup_jobs2"] < two_floor:
+    if two_floor is not None and payload["speedup_2workers"] < two_floor:
         failures.append(
-            f"jobs=2 walk speedup {payload['speedup_jobs2']}x is below "
+            f"2-worker walk speedup {payload['speedup_2workers']}x is below "
             f"the {two_floor}x floor"
         )
     if not payload["pool_parity_ok"]:
@@ -318,7 +342,7 @@ def _check(payload: dict, min_speedup: float) -> list[str]:
         failures.append(
             f"warm-pool speedup {payload['speedup_warm_pool']}x on repeated "
             f"small-n (n={payload['pool_n']}) evaluations is below the "
-            f"{pool_floor}x floor over per-call pools"
+            f"{pool_floor}x floor over a fresh pool per call"
         )
     overlap_floor = float(
         os.environ.get("REPRO_BENCH_POOL_MIN_OVERLAP", "1.2")
@@ -326,20 +350,20 @@ def _check(payload: dict, min_speedup: float) -> list[str]:
     if (os.cpu_count() or 1) >= 2 and payload["speedup_overlap"] < overlap_floor:
         failures.append(
             f"overlapped compare_policies speedup {payload['speedup_overlap']}x "
-            f"is below the {overlap_floor}x floor over policy-serial sharding"
+            f"is below the {overlap_floor}x floor over a fresh pool per policy"
         )
     return failures
 
 
-def _effective_floor(min_speedup: float, jobs: int) -> float | None:
+def _effective_floor(min_speedup: float, workers: int) -> float | None:
     """Cap the configured floor by what the hardware can deliver.
 
-    ``min(jobs, cpus)`` workers bound the speedup at exactly that factor
+    ``min(workers, cpus)`` workers bound the speedup at exactly that factor
     (Amdahl), so the configured floor only applies unclamped when there is
     headroom above it; a dual-core machine gets ``0.7 * 2 = 1.4x`` and a
     single core (no parallelism possible) skips the gate entirely.
     """
-    effective = min(jobs, os.cpu_count() or 1)
+    effective = min(workers, os.cpu_count() or 1)
     if effective < 2:
         return None
     return min(min_speedup, round(0.7 * effective, 2))
@@ -351,14 +375,14 @@ def _min_speedup() -> float:
 
 def _env_config() -> tuple[int, int]:
     n = int(os.environ.get("REPRO_BENCH_PARALLEL_N", "12000"))
-    jobs = int(os.environ.get("REPRO_BENCH_PARALLEL_JOBS", "0"))
-    return n, (jobs or _default_jobs())
+    workers = int(os.environ.get("REPRO_BENCH_PARALLEL_JOBS", "0"))
+    return n, (workers or _default_workers())
 
 
 def test_parallel_evaluation_floors(report):
     """Acceptance: shard/bitset/cache floors on a >= 10k-node DAG."""
-    n, jobs = _env_config()
-    payload = run_benchmark(n_target=n, jobs=jobs)
+    n, workers = _env_config()
+    payload = run_benchmark(n_target=n, workers=workers)
     report("bench_parallel", json.dumps(payload, indent=2))
     write_bench_json(
         "parallel",
@@ -379,8 +403,8 @@ def main() -> int:
         help="assert the speedup floors, write results/bench_parallel.txt",
     )
     args = parser.parse_args()
-    n, jobs = _env_config()
-    payload = run_benchmark(n_target=n, jobs=jobs)
+    n, workers = _env_config()
+    payload = run_benchmark(n_target=n, workers=workers)
     text = json.dumps(payload, indent=2)
     print(text)
     RESULTS.mkdir(exist_ok=True)

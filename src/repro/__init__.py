@@ -55,7 +55,6 @@ from repro.engine import (
     EngineResultCache,
     NoisyResult,
     VectorPolicy,
-    set_default_jobs,
     set_default_result_cache,
     simulate_all_targets,
     simulate_noisy,
@@ -135,7 +134,6 @@ __all__ = [
     "run_search",
     "search_for_target",
     "set_default_cache",
-    "set_default_jobs",
     "set_default_result_cache",
     "simulate_all_targets",
     "simulate_noisy",

@@ -2,9 +2,9 @@
 
 Everything downstream of ``repro.plan``, ``repro.engine`` and
 ``repro.serve`` is gated on **bit-identity**: the same configuration must
-produce byte-identical arrays whether walked sequentially, sharded over
-``jobs=N``, served from the warm pool, or streamed — the hypothesis
-suites in ``tests/test_bit_identity.py`` diff them literally.  Three
+produce byte-identical arrays whether walked sequentially, sharded over a
+fresh pool, served from a warm pool, or overlapped with other walks — the
+hypothesis suites in ``tests/test_bit_identity.py`` diff them literally.  Three
 classes of nondeterminism keep sneaking into such code:
 
 * **wall-clock reads** — ``time.*``, ``datetime.now``/``utcnow``/

@@ -5,12 +5,11 @@ Three modes:
 * experiment mode — regenerate any paper table/figure at a chosen scale and
   print the paper-style output (``all`` runs the full suite).  With
   ``--plan-cache DIR``, compiled decision plans are content-addressed on
-  disk so repeated runs skip identical compilations; ``--jobs N`` shards
-  exact plan walks over N worker processes; ``--result-cache DIR``
-  persists the per-target cost arrays so re-running an unchanged
-  evaluation skips the walk entirely; ``--pool [N]`` serves every plan
-  walk from a persistent shared-memory worker pool (no per-call forking,
-  comparison tables overlap their competitors' walks);
+  disk so repeated runs skip identical compilations; ``--result-cache
+  DIR`` persists the per-target cost arrays so re-running an unchanged
+  evaluation skips the walk entirely; ``--pool [N]`` shards every exact
+  plan walk over a persistent shared-memory pool of N workers (comparison
+  tables overlap their competitors' walks);
 * interactive mode — ``python -m repro interactive --edges hierarchy.tsv``
   categorises one object by asking *you* the reachability questions, i.e.
   the paper's crowdsourcing workflow with a human-in-the-terminal oracle
@@ -99,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results/plancache) so repeated runs skip identical compilations",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="experiment mode: shard exact plan walks over N worker "
-        "processes (0 or negative = all cores); per-target numbers are "
-        "identical for every N",
-    )
-    parser.add_argument(
         "--result-cache",
         metavar="DIR",
         help="experiment mode: cache engine results (per-target cost "
@@ -143,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=0,
         metavar="N",
-        help="experiment mode only: serve plan walks from a persistent pool "
-        "of N long-lived workers sharing plans via shared memory (bare "
-        "--pool or 0 = all cores); repeated and multi-policy evaluations "
-        "skip the per-call pool spin-up, and compare tables overlap the "
+        help="experiment mode only: shard exact plan walks over a "
+        "persistent pool of N long-lived workers sharing plans via shared "
+        "memory (bare --pool or 0 = all cores); per-target numbers are "
+        "identical for every N, and compare tables overlap the "
         "competitors' walks.  REPRO_POOL_WORKERS installs the same "
         "default without a flag",
     )
@@ -182,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="noise experiment: independent noisy searches per sampled "
         "target (default: 3); seeded per (target, replication), so "
-        "results are identical for every --jobs/--pool setting",
+        "results are identical for every --pool setting",
     )
     parser.add_argument(
         "--rate",
@@ -469,10 +460,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.plan import set_default_cache
 
         set_default_cache(args.plan_cache)
-    if args.jobs is not None:
-        from repro.engine import set_default_jobs
-
-        set_default_jobs(args.jobs)
     if args.result_cache:
         from repro.engine import set_default_result_cache
 
@@ -489,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         if name == "noise":
             # The noise experiment grew belief-engine knobs beyond the
-            # uniform (scale, seed) signature; jobs/pool flow through the
+            # uniform (scale, seed) signature; the pool flows through the
             # ambient defaults installed above.
             from repro.experiments import noise as noise_experiment
 

@@ -556,7 +556,7 @@ class Hierarchy:
     #: Lazily built caches excluded from pickles: the reachability indexes
     #: reach n^2 (matrix) / n^2 / 8 (bitset) bytes and the descendant sets
     #: O(n^2) entries — embedding them would bloat every plan-cache file
-    #: and spawn-context worker pickle.  They rebuild on demand; the
+    #: and pool segment.  They rebuild on demand; the
     #: content fingerprint (a 64-byte hex string) is kept.
     _LAZY_SLOTS = (
         "_desc_cache",

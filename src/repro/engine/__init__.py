@@ -5,12 +5,12 @@ against *all* targets of a hierarchy in one pass on flat numpy index arrays:
 the amortized, index-level evaluation path the paper's efficiency
 experiments (Fig. 6) presume, instead of one ``run_search`` per target.
 See :mod:`repro.engine.driver` for the algorithm, :mod:`repro.engine.vector`
-for the undo protocol and splitting kernels, :mod:`repro.engine.parallel`
-for the sharded multi-process walk (``jobs=``), :mod:`repro.engine.cache`
+for the undo protocol and splitting kernels, :mod:`repro.engine.cache`
 for the persistent engine-result cache (``result_cache=``),
 :mod:`repro.engine.pool` for the persistent shared-memory worker pool
-(``pool=``) that serves repeated and multi-policy evaluations without
-re-forking or re-pickling plans, and :mod:`repro.engine.belief` for the
+(``pool=``) — the one multi-process path, sharding a walk into disjoint
+plan regions and serving repeated and multi-policy evaluations without
+re-forking or re-pickling plans — and :mod:`repro.engine.belief` for the
 batched noisy-oracle evaluation path (posterior kernels, seeded flip
 draws, majority voting) behind the noise study.
 """
@@ -34,11 +34,6 @@ from repro.engine.driver import (
     EngineResult,
     simulate_all_targets,
     simulate_policies,
-)
-from repro.engine.parallel import (
-    get_default_jobs,
-    resolve_jobs,
-    set_default_jobs,
 )
 from repro.engine.pool import (
     EvaluationPool,
@@ -64,7 +59,6 @@ __all__ = [
     "VectorPolicy",
     "WorkerHealth",
     "as_result_cache",
-    "get_default_jobs",
     "get_default_pool",
     "get_default_result_cache",
     "is_vector_policy",
@@ -74,11 +68,9 @@ __all__ = [
     "posterior_from_transcript",
     "reference_noisy",
     "simulate_noisy",
-    "resolve_jobs",
     "resolve_pool",
     "resolve_result_cache",
     "result_key",
-    "set_default_jobs",
     "set_default_pool",
     "set_default_result_cache",
     "simulate_all_targets",

@@ -20,8 +20,8 @@ Three layers:
   cohort.
 * :func:`simulate_noisy` — the batched sweep: seeded flip draws, early-
   stopped majority voting, repeated-search plurality reduction, optional
-  MAP/threshold stopping read off the posterior, with ``jobs=`` sharding
-  or :class:`~repro.engine.pool.EvaluationPool` offload.
+  MAP/threshold stopping read off the posterior, with optional
+  :class:`~repro.engine.pool.EvaluationPool` offload.
 * :func:`reference_noisy` — the per-session oracle stack
   (``CountingOracle`` / ``MajorityVoteOracle`` / ``NoisyOracle``) driven
   through the same plan, one ``run_search`` at a time.  The property suite
@@ -33,14 +33,12 @@ draws all its uniforms from ``default_rng(SeedSequence(seed,
 spawn_key=(s,)))``, one uniform per *drawn* flip in question order,
 exactly like a per-session :class:`~repro.core.NoisyOracle` holding that
 generator.  Sessions never share a stream, so labels, query counts and
-prices are bit-identical regardless of batch shape, ``jobs=``, ``pool=``,
-or kernel ``kind``.
+prices are bit-identical regardless of batch shape, ``pool=``, or kernel
+``kind``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -316,11 +314,11 @@ def run_noise_chunk(
 ) -> dict:
     """Advance one shard of noisy sessions to completion; returns arrays.
 
-    This is the kernel both execution backends share: ``jobs=`` workers
-    call it via a fork/spawn initializer, pool workers via the ``"noise"``
-    task kind.  All sessions advance one question per step; truth comes
-    from a batched :func:`~repro.engine.vector.make_answerer` kernel,
-    flips from the per-session streams, and the optional posterior from
+    This is the kernel both execution backends share: the inline sweep
+    calls it directly, pool workers via the ``"noise"`` task kind.  All
+    sessions advance one question per step; truth comes from a batched
+    :func:`~repro.engine.vector.make_answerer` kernel, flips from the
+    per-session streams, and the optional posterior from
     :func:`make_belief_updater` (same forced ``kind``, so tracking never
     perturbs the walk).
     """
@@ -466,19 +464,6 @@ def run_noise_chunk(
 # ----------------------------------------------------------------------
 # Execution backends
 # ----------------------------------------------------------------------
-_JOBS_STATE = None
-
-
-def _init_noise_jobs(plan, hierarchy) -> None:
-    global _JOBS_STATE
-    _JOBS_STATE = (plan, hierarchy)
-
-
-def _run_chunk_jobs(spec: NoiseChunkSpec) -> dict:
-    plan, hierarchy = _JOBS_STATE
-    return run_noise_chunk(plan, hierarchy, spec)
-
-
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
     """Contiguous, deterministic [start, stop) shards covering ``total``."""
     chunks = max(1, min(chunks, total))
@@ -735,7 +720,6 @@ def simulate_noisy(
     max_queries: int | None = None,
     check_correctness: bool = True,
     plan_cache=None,
-    jobs: int | None = None,
     pool=None,
     kind: str | None = None,
     batch_size: int | None = None,
@@ -773,11 +757,11 @@ def simulate_noisy(
     track_posterior:
         Keep the final per-run posteriors in the result without changing
         any walk decision.
-    jobs, pool:
-        Shard sessions over a per-call process pool / offload to a warm
-        :class:`~repro.engine.pool.EvaluationPool` — same precedence
-        rules as :func:`~repro.engine.driver.simulate_all_targets`, and
-        bit-identical output either way.
+    pool:
+        Shard sessions over an :class:`~repro.engine.pool.EvaluationPool`
+        — resolved exactly as in
+        :func:`~repro.engine.driver.simulate_all_targets` (``False`` runs
+        inline), with bit-identical output either way.
     kind:
         Force one answerer/updater kernel (see
         :data:`~repro.engine.vector.SPLITTER_KINDS`).
@@ -785,8 +769,7 @@ def simulate_noisy(
         Sessions advanced per inline chunk (memory lever; results are
         chunk-shape-invariant).
     """
-    from repro.engine.driver import _resolve_active_pool
-    from repro.engine.parallel import resolve_jobs
+    from repro.engine.pool import resolve_pool
 
     _validate_knobs(replications, repeats, votes)
     model = _as_error_model(error_model)
@@ -854,7 +837,7 @@ def simulate_noisy(
         if flat["posterior"] is not None:
             flat["posterior"][start:stop] = payload["posterior"]
 
-    active_pool = _resolve_active_pool(pool, jobs)
+    active_pool = resolve_pool(pool)
     if active_pool is not None and total > 1:
         bounds = _chunk_bounds(total, active_pool.workers * 2)
         payloads = active_pool.run_noise(
@@ -863,36 +846,16 @@ def simulate_noisy(
         for (lo, hi), payload in zip(bounds, payloads):
             scatter(lo, hi, payload)
     else:
-        workers = resolve_jobs(jobs)
-        if workers > 1 and total > 1:
-            bounds = _chunk_bounds(total, workers)
-            ctx = (
-                multiprocessing.get_context("fork")
-                if "fork" in multiprocessing.get_all_start_methods()
-                else multiprocessing.get_context()
-            )
-            with ProcessPoolExecutor(
-                max_workers=len(bounds),
-                mp_context=ctx,
-                initializer=_init_noise_jobs,
-                initargs=(plan, hierarchy),
-            ) as executor:
-                for (lo, hi), payload in zip(
-                    bounds,
-                    executor.map(_run_chunk_jobs, [spec_for(lo, hi) for lo, hi in bounds]),
-                ):
-                    scatter(lo, hi, payload)
+        if batch_size is not None:
+            step = max(1, int(batch_size))
+        elif track:
+            # Bound the dense (S, n) posterior block per chunk.
+            step = max(1, 4_000_000 // max(hierarchy.n, 1))
         else:
-            if batch_size is not None:
-                step = max(1, int(batch_size))
-            elif track:
-                # Bound the dense (S, n) posterior block per chunk.
-                step = max(1, 4_000_000 // max(hierarchy.n, 1))
-            else:
-                step = total
-            for lo in range(0, total, step):
-                hi = min(lo + step, total)
-                scatter(lo, hi, run_noise_chunk(plan, hierarchy, spec_for(lo, hi)))
+            step = total
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            scatter(lo, hi, run_noise_chunk(plan, hierarchy, spec_for(lo, hi)))
 
     return _reduce_runs(
         hierarchy,

@@ -32,12 +32,12 @@ Every registry policy, and any third-party
 :class:`~repro.core.policy.Policy`, produces identical numbers through the
 same API.
 
-Two further levers make the walk paper-scale (see ``jobs`` and
+Two further levers make the walk paper-scale (see ``pool`` and
 ``result_cache`` on :func:`simulate_all_targets`): the plan walk shards
-over a process pool with bit-identical output for every shard count
-(:mod:`repro.engine.parallel`), and finished per-target cost arrays
-persist on disk keyed by configuration content hash, so repeating an
-unchanged evaluation skips the walk entirely
+over a persistent :class:`~repro.engine.pool.EvaluationPool` with
+bit-identical output for every worker count, and finished per-target cost
+arrays persist on disk keyed by configuration content hash, so repeating
+an unchanged evaluation skips the walk entirely
 (:mod:`repro.engine.cache`).
 """
 
@@ -55,6 +55,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.policy import Policy
 from repro.core.session import default_budget, run_search
+from repro.engine.pool import resolve_pool
 from repro.engine.vector import is_vector_policy, make_splitter
 from repro.exceptions import BudgetExceededError, SearchError
 from repro.plan import (
@@ -168,9 +169,8 @@ class _PreparedRun:
     either a terminal cached result, a compiled plan awaiting a walk, or a
     sequential fallback closure — so :func:`simulate_all_targets` and the
     multi-policy :func:`simulate_policies` share one resolution path and
-    only differ in how they *execute* the plan walks (inline, per-call
-    process pool, or overlapped on a persistent
-    :class:`~repro.engine.pool.EvaluationPool`).
+    only differ in how they *execute* the plan walks (inline, or
+    overlapped on a persistent :class:`~repro.engine.pool.EvaluationPool`).
     """
 
     policy_label: str
@@ -185,7 +185,7 @@ class _PreparedRun:
     rkey: str
     #: Terminal: the result cache already held the answer.
     cached: EngineResult | None = None
-    #: Plan-walk mode: walk these arrays (inline, jobs pool, or eval pool).
+    #: Plan-walk mode: walk these arrays (inline or on a pool).
     plan: CompiledPlan | None = None
     #: Sequential fallback (fused pruned walk / transcript replay); returns
     #: ``(method, decision_nodes)`` and scatters into queries/prices.
@@ -361,38 +361,12 @@ def _prepare_run(
     return prepared
 
 
-def _resolve_active_pool(pool, jobs: int | None):
-    """The one precedence rule for pooled execution.
-
-    An explicit ``jobs=`` argument opts the call out of the *ambient*
-    default pool (so ``jobs=1`` still means "walk sequentially, here" even
-    when ``REPRO_POOL_WORKERS`` is exported); an explicit ``pool`` always
-    wins, and ``pool=False`` disables pooling outright.  Shared by the
-    single-policy and batch entry points so they can never resolve
-    different execution modes for the same arguments.
-    """
-    from repro.engine.pool import resolve_pool
-
-    if pool is None and jobs is not None:
-        return None
-    return resolve_pool(pool)
-
-
-def _execute_plan_walk(prep: _PreparedRun, jobs: int | None, pool) -> int:
-    """Walk a prepared plan: persistent pool > per-call jobs pool > inline."""
-    from repro.engine.parallel import resolve_jobs, run_parallel_walk
-
-    active_pool = _resolve_active_pool(pool, jobs)
-    if active_pool is not None and prep.target_ix.size > 1:
-        return active_pool.run_walk(
+def _execute_plan_walk(prep: _PreparedRun, pool) -> int:
+    """Walk a prepared plan: on ``pool`` (already resolved), else inline."""
+    if pool is not None and prep.target_ix.size > 1:
+        return pool.run_walk(
             prep.plan, prep.hierarchy, prep.model, prep.target_ix,
             prep.queries, prep.prices, prep.budget, prep.check,
-        )
-    workers = resolve_jobs(jobs)
-    if workers > 1 and prep.target_ix.size > 1:
-        return run_parallel_walk(
-            prep.plan, prep.hierarchy, prep.model, prep.target_ix,
-            prep.queries, prep.prices, prep.budget, prep.check, workers,
         )
     return _plan_walk(
         prep.plan, prep.hierarchy, prep.model, prep.target_ix,
@@ -425,7 +399,6 @@ def simulate_all_targets(
     check_correctness: bool = True,
     max_queries: int | None = None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> EngineResult:
@@ -457,14 +430,6 @@ def simulate_all_targets(
         A :class:`~repro.plan.PlanCache` or directory path; compiled plans
         are loaded from / stored into it by configuration content hash.
         ``None`` falls back to :func:`repro.plan.get_default_cache`.
-    jobs:
-        Shard the compiled-plan walk over this many worker processes
-        (:mod:`repro.engine.parallel`); the per-target arrays and
-        ``decision_nodes`` are bit-identical for every value.  ``None``
-        uses the process default (sequential unless
-        :func:`~repro.engine.parallel.set_default_jobs` / ``--jobs`` set
-        one); non-positive means all cores.  Replay policies and the fused
-        pruned walk always run sequentially.
     result_cache:
         An :class:`~repro.engine.cache.EngineResultCache` or directory
         path persisting the per-target cost arrays by configuration +
@@ -478,11 +443,12 @@ def simulate_all_targets(
     pool:
         A persistent :class:`~repro.engine.pool.EvaluationPool`: the plan
         walk is sharded over its long-lived workers (plans travel through
-        shared memory once, not per call), with the same bit-identical
-        output as every other execution mode.  ``None`` falls back to
-        :func:`~repro.engine.pool.get_default_pool` (the CLI's ``--pool``
-        / ``REPRO_POOL_WORKERS``) unless an explicit ``jobs`` was given;
-        ``False`` disables pooling outright, like ``result_cache=False``.
+        shared memory once, not per call), with per-target arrays and
+        ``decision_nodes`` bit-identical to the inline walk.  ``None``
+        falls back to :func:`~repro.engine.pool.get_default_pool` (the
+        CLI's ``--pool`` / ``REPRO_POOL_WORKERS``); ``False`` walks
+        inline, like ``result_cache=False``.  Replay policies and the fused
+        pruned walk always run sequentially.
     """
     prep = _prepare_run(
         policy, hierarchy, distribution, cost_model,
@@ -493,7 +459,9 @@ def simulate_all_targets(
     if prep.cached is not None:
         return prep.cached
     if prep.plan is not None:
-        return _finalize(prep, "plan", _execute_plan_walk(prep, jobs, pool))
+        return _finalize(
+            prep, "plan", _execute_plan_walk(prep, resolve_pool(pool))
+        )
     method, nodes = prep.fallback()
     return _finalize(prep, method, nodes)
 
@@ -508,7 +476,6 @@ def simulate_policies(
     check_correctness: bool = True,
     max_queries: int | None = None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> list[EngineResult]:
@@ -536,7 +503,7 @@ def simulate_policies(
         for policy in policies
     ]
 
-    active_pool = _resolve_active_pool(pool, jobs)
+    active_pool = resolve_pool(pool)
     overlapped: dict[int, int] = {}
     if active_pool is not None:
         batch = [
@@ -567,7 +534,7 @@ def simulate_policies(
             results.append(_finalize(prep, "plan", overlapped[i]))
         elif prep.plan is not None:
             results.append(
-                _finalize(prep, "plan", _execute_plan_walk(prep, jobs, pool))
+                _finalize(prep, "plan", _execute_plan_walk(prep, active_pool))
             )
         else:
             method, nodes = prep.fallback()
@@ -593,9 +560,9 @@ def _make_stepper(
     Returns ``step(node, subset, depth, price, emit) -> visited`` — settle
     a leaf (0) or split a decision node (1), handing each viable child
     frame to ``emit``.  The sequential walk drives it off a stack and the
-    parallel engine off a size-ordered frontier heap
-    (:mod:`repro.engine.parallel`); keeping the node semantics in one
-    place is what guarantees their outputs stay bit-identical.
+    pool's sharding off a size-ordered frontier heap
+    (:func:`repro.engine.pool.expand_frontier`); keeping the node semantics
+    in one place is what guarantees their outputs stay bit-identical.
     """
     price_vec = model.as_array(hierarchy)
     plan_query = plan.query_ix
@@ -655,8 +622,8 @@ def _plan_walk(
 
     ``split`` forces a pre-chosen splitter kernel and ``frames`` replaces
     the root frame with mid-plan ``(node, subset, depth, price)`` starting
-    points — the parallel engine uses both so every worker shard resumes
-    the identical walk (:mod:`repro.engine.parallel`).
+    points — pool workers use both so every shard resumes the identical
+    walk (:mod:`repro.engine.pool`).
     """
     if split is None:
         split = make_splitter(hierarchy, len(target_ix))

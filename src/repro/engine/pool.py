@@ -1,16 +1,23 @@
-"""Persistent shared-memory evaluation pool: long-lived workers, zero re-fork.
+"""Persistent shared-memory evaluation pool: the engine's one process fan-out.
 
-The per-call process pool of :mod:`repro.engine.parallel` made one big walk
-fast, but every invocation still pays ~20 ms to fork fresh workers and ship
-the plan — overhead that dominates repeated small-n evaluations and
-serializes :func:`~repro.evaluation.comparison.compare_policies` across
-policies.  :class:`EvaluationPool` removes both costs:
+An exact all-targets walk is embarrassingly parallel — the
+:class:`~repro.plan.CompiledPlan` arrays are immutable and every target's
+cost is independent — and :class:`EvaluationPool` is the only way the
+engine spreads it over processes:
+
+* **Disjoint plan regions.**  The parent expands the plan top-down
+  (largest surviving target subset first, :func:`expand_frontier`) until it
+  holds several frames per worker, then deals the frames into per-worker
+  buckets balanced by subset size (:func:`_deal_frames`).  Slicing the
+  target array instead would make every worker re-walk nearly all decision
+  nodes near the root; with disjoint regions each plan node is visited by
+  exactly one process, so the union of work equals the sequential walk and
+  the per-target arrays and ``decision_nodes`` are bit-identical for every
+  worker count.
 
 * **Long-lived workers.**  The pool owns worker processes that survive
-  across calls, fed through one shared task queue.  A walk is submitted as
-  a handful of frame buckets (the same disjoint plan regions the per-call
-  pool deals, via :func:`repro.engine.parallel.expand_frontier`), so the
-  per-call cost is a few queue round-trips instead of a pool spin-up.
+  across calls, fed through one shared task queue, so a walk costs a few
+  queue round-trips instead of a process spin-up.
 
 * **Shared-memory plans.**  :meth:`publish` copies a
   :class:`~repro.plan.CompiledPlan`'s flat arrays — and the hierarchy's
@@ -60,13 +67,13 @@ outlives the process (the test suite asserts this).
 A process-wide default pool is installed with :func:`set_default_pool`
 (the CLI's ``--pool`` flag) or sized by the ``REPRO_POOL_WORKERS``
 environment variable; the engine consults :func:`get_default_pool` when no
-explicit ``pool`` is passed, and an explicit ``jobs=`` argument opts a
-call out of the ambient default.
+explicit ``pool`` is passed, and ``pool=False`` opts a call out of it.
 """
 
 from __future__ import annotations
 
 import atexit
+import heapq
 import itertools
 import multiprocessing
 import os
@@ -83,6 +90,7 @@ from repro.analysis import sanitize
 from repro.analysis.schedule import schedule_point
 from repro.exceptions import PoolError, PoolTimeoutError, ReproError
 from repro.faults.resilience import RetryPolicy
+from repro.plan import ROOT
 
 #: Segment-name prefix; includes the owning pid so a leak check (and a
 #: human inspecting ``/dev/shm``) can attribute segments to a process.
@@ -112,6 +120,11 @@ _MAX_RESPAWNS = 2
 #: Seconds a worker gets to exit voluntarily at close before termination.
 _JOIN_TIMEOUT = 5.0
 
+#: Frontier frames expanded per worker before fanning out: enough slack for
+#: the size-balanced deal to even out skewed plan shapes, few enough that
+#: the parent's own expansion work stays negligible.
+_FRONTIER_FACTOR = 8
+
 #: Worker-side segment-attach retries: a just-republished segment can be
 #: observed mid-swap (name unlinked, successor not yet created), which a
 #: short deterministic backoff absorbs without surfacing a transient
@@ -121,6 +134,16 @@ _ATTACH_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.1, seed=0xA
 #: Pacing between death-recovery rounds (restart + resubmit): backing off
 #: keeps a repeatedly dying pool from hot-looping through respawns.
 _RECOVERY_RETRY = RetryPolicy(attempts=_MAX_RESPAWNS + 1, base_delay=0.05, seed=0x9E)
+
+
+def _env_number(name: str, value: str, kind):
+    """Parse a numeric pool environment variable, or raise :class:`PoolError`."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise PoolError(
+            f"{name}={value!r} is not a valid {kind.__name__}"
+        ) from None
 
 
 def _align(offset: int) -> int:
@@ -289,6 +312,78 @@ def _attach_segment(seg_name: str, key: str):
             f"{type(exc).__name__}: {exc}"
         ) from exc
     return plan, hierarchy, shm
+
+
+# ----------------------------------------------------------------------
+# Sharding: disjoint plan regions
+# ----------------------------------------------------------------------
+def expand_frontier(
+    plan,
+    hierarchy,
+    model,
+    target_ix: np.ndarray,
+    queries: np.ndarray,
+    prices: np.ndarray,
+    budget: int,
+    check: bool,
+    want: int,
+):
+    """Expand the plan top-down until at least ``want`` frontier frames exist.
+
+    Pops the largest-subset frame, settles leaves in the parent (writing
+    straight into ``queries``/``prices``), pushes children.  Returns
+    ``(visited, frames, split)``: decision nodes the parent settled, the
+    remaining ``(node, subset, depth, price)`` frames (empty when the whole
+    walk fit in the parent), and the splitter kernel chosen for the *full*
+    target set — callers must force its ``kind`` on every shard so the walk
+    stays shard-count-invariant.  Because the frames partition the
+    remaining work into disjoint plan regions, any way of dealing them to
+    workers reproduces the sequential walk bit for bit.
+    """
+    from repro.engine.driver import _make_stepper
+    from repro.engine.vector import make_splitter
+
+    split = make_splitter(hierarchy, len(target_ix))
+    step = _make_stepper(
+        plan, hierarchy, model, queries, prices, budget, check, split
+    )
+    visited = 0
+
+    counter = itertools.count()
+    heap: list[tuple[int, int, int, np.ndarray, int, float]] = [
+        (-len(target_ix), next(counter), ROOT, target_ix, 0, 0.0)
+    ]
+
+    def emit(child: int, sub: np.ndarray, depth: int, price: float) -> None:
+        heapq.heappush(heap, (-len(sub), next(counter), child, sub, depth, price))
+
+    while heap and len(heap) < want:
+        _, _, node, subset, depth, price = heapq.heappop(heap)
+        visited += step(node, subset, depth, price, emit)
+
+    frames = [
+        (node, subset, depth, price)
+        for _, _, node, subset, depth, price in heap
+    ]
+    return visited, frames, split
+
+
+def _deal_frames(frames, workers: int):
+    """Deal frontier frames into <= ``workers`` buckets, balanced by size.
+
+    Classic greedy makespan: largest frame first, into the currently
+    lightest bucket (subset size is the proxy for walk work below the
+    frame).  Deterministic — ties break on bucket index.
+    """
+    frames = sorted(frames, key=lambda f: (-len(f[1]), f[0]))
+    buckets: list[list] = [[] for _ in range(min(workers, len(frames)))]
+    loads = [(0, b) for b in range(len(buckets))]
+    heapq.heapify(loads)
+    for frame in frames:
+        load, b = heapq.heappop(loads)
+        buckets[b].append(frame)
+        heapq.heappush(loads, (load + len(frame[1]), b))
+    return [bucket for bucket in buckets if bucket]
 
 
 # ----------------------------------------------------------------------
@@ -497,18 +592,28 @@ class EvaluationPool:
         self.workers = int(workers)
         if deadline is None:
             env_deadline = os.environ.get("REPRO_POOL_DEADLINE")
-            deadline = float(env_deadline) if env_deadline else None
+            if env_deadline:
+                deadline = _env_number("REPRO_POOL_DEADLINE", env_deadline, float)
         if deadline is not None and deadline <= 0:
             raise PoolError(f"deadline must be positive, got {deadline}")
         self.deadline = deadline
         if max_plans < 1:
             raise PoolError(f"max_plans must be >= 1, got {max_plans}")
         self.max_plans = int(max_plans)
+        source = "start_method"
         if start_method is None:
             start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
+            source = "REPRO_POOL_START_METHOD"
         if start_method is None and "fork" in multiprocessing.get_all_start_methods():
             start_method = "fork"
-        self._ctx = multiprocessing.get_context(start_method)
+        try:
+            self._ctx = multiprocessing.get_context(start_method)
+        except ValueError as exc:
+            raise PoolError(
+                f"{source}={start_method!r} is not a start method on this "
+                f"platform (choose from "
+                f"{', '.join(multiprocessing.get_all_start_methods())})"
+            ) from exc
         self.start_method = self._ctx.get_start_method()
         self._tasks = self._new_queue()
         self._results = self._new_queue()
@@ -622,12 +727,15 @@ class EvaluationPool:
         if self._closed:
             return
         self._closed = True
-        for proc in self._procs:
-            if proc.is_alive():
-                try:
-                    self._tasks.put(None)
-                except Exception:
-                    pass
+        # One sentinel per worker, without checking liveness first: any
+        # worker may take any sentinel and exit, so a per-worker
+        # ``is_alive()`` check can skip a sentinel a live worker still
+        # needs.  Sentinels no worker takes die with the queue below.
+        for _ in self._procs:
+            try:
+                self._tasks.put(None)
+            except Exception:
+                pass
         deadline = time.monotonic() + _JOIN_TIMEOUT  # repro: noqa RPA004 - teardown join budget, not result data
         for proc in self._procs:
             proc.join(max(0.0, deadline - time.monotonic()))  # repro: noqa RPA004 - teardown join budget, not result data
@@ -819,9 +927,8 @@ class EvaluationPool:
     ) -> int:
         """One sharded plan walk on the warm pool; returns nodes visited.
 
-        Same contract as :func:`repro.engine.parallel.run_parallel_walk` —
-        per-target arrays and the visited count are bit-identical to the
-        sequential walk — minus the per-call fork/pickle overhead.
+        The per-target arrays and the visited count are bit-identical to
+        the sequential walk.
         ``deadline`` bounds the collection wait exactly as in
         :meth:`run_batch` (the single-task path shares the same collector).
         """
@@ -841,12 +948,6 @@ class EvaluationPool:
         overlap that makes multi-policy comparisons finish in one
         makespan instead of k.
         """
-        from repro.engine.parallel import (
-            _FRONTIER_FACTOR,
-            _deal_frames,
-            expand_frontier,
-        )
-
         self._ensure_started()
         requests = list(requests)
         totals = [0] * len(requests)
@@ -1066,13 +1167,17 @@ def get_default_pool() -> EvaluationPool | None:
     """The installed default, lazily sized by ``REPRO_POOL_WORKERS``.
 
     Returns ``None`` when neither :func:`set_default_pool` nor the
-    environment variable configured one — the engine then walks in-process
-    (or through the per-call ``jobs=`` pool).
+    environment variable configured one — the engine then walks in-process.
+    A value that is not an integer raises :class:`PoolError`.
     """
     global _default_pool
     if _default_pool is _UNSET:
         workers = os.environ.get("REPRO_POOL_WORKERS")
-        _default_pool = EvaluationPool(int(workers)) if workers else None
+        _default_pool = (
+            EvaluationPool(_env_number("REPRO_POOL_WORKERS", workers, int))
+            if workers
+            else None
+        )
     if (
         _default_pool is not None
         and isinstance(_default_pool, EvaluationPool)

@@ -105,7 +105,7 @@ def make_splitter(
     the cached per-node descendant sets are cheaper than the build.
 
     ``kind`` forces a specific kernel (one of :data:`SPLITTER_KINDS`),
-    bypassing the heuristics — the parallel engine uses this so every worker
+    bypassing the heuristics — the evaluation pool uses this so every worker
     shard takes the kernel chosen once for the *full* target set, and the
     parity tests use it to compare kernels on one hierarchy.  The chosen
     kind is exposed as ``.kind`` on the returned callable.

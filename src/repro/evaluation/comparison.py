@@ -107,7 +107,6 @@ def session_metrics(
     cost_model: QueryCostModel | None = None,
     targets=None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> tuple[SessionMetrics, ...]:
@@ -127,7 +126,6 @@ def session_metrics(
         cost_model,
         targets=targets,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
         pool=pool,
     )
@@ -145,7 +143,6 @@ def compare_policies(
     max_targets: int | None = None,
     rng: np.random.Generator | None = None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> Comparison:
@@ -159,9 +156,8 @@ def compare_policies(
     (:func:`repro.evaluation.evaluate_policies_expected_cost`), so
     comparing k policies costs k plan walks, not ``k * |targets|``
     interactive searches; with ``plan_cache`` set, repeated runs of the
-    same configuration skip the compilations too.  ``jobs`` shards each
-    walk over worker processes, ``result_cache`` persists the per-target
-    cost arrays (an unchanged configuration re-run skips the walks
+    same configuration skip the compilations too.  ``result_cache``
+    persists the per-target cost arrays (an unchanged configuration re-run skips the walks
     entirely), and a persistent ``pool``
     (:class:`~repro.engine.EvaluationPool`) *overlaps* the policies' walks
     on its long-lived workers — all policies' shard frames enter one
@@ -180,7 +176,6 @@ def compare_policies(
         cost_model=cost_model,
         targets=targets,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
         pool=pool,
     )

@@ -110,7 +110,6 @@ def evaluate_expected_cost(
     keep_per_target: bool = False,
     check_correctness: bool = True,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> EvaluationResult:
@@ -131,9 +130,6 @@ def evaluate_expected_cost(
     plan_cache:
         Forwarded to the engine: a :class:`~repro.plan.PlanCache` or
         directory path for persisting compiled plans across runs.
-    jobs:
-        Forwarded to the engine: shard the exact plan walk over this many
-        worker processes (identical numbers for every value).
     result_cache:
         Forwarded to the engine: an
         :class:`~repro.engine.EngineResultCache` or directory path; an
@@ -171,7 +167,6 @@ def evaluate_expected_cost(
         targets=targets,
         check_correctness=check_correctness,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
         pool=pool,
     )
@@ -190,7 +185,6 @@ def evaluate_policies_expected_cost(
     keep_per_target: bool = False,
     check_correctness: bool = True,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> tuple[EvaluationResult, ...]:
@@ -224,7 +218,6 @@ def evaluate_policies_expected_cost(
         targets=targets,
         check_correctness=check_correctness,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
         pool=pool,
     )
@@ -242,7 +235,6 @@ def worst_case_cost(
     distribution: TargetDistribution | None = None,
     *,
     targets: Iterable[Hashable] | None = None,
-    jobs: int | None = None,
     result_cache=None,
     pool=None,
 ) -> int:
@@ -253,7 +245,6 @@ def worst_case_cost(
         distribution,
         targets=targets,
         check_correctness=False,
-        jobs=jobs,
         result_cache=result_cache,
         pool=pool,
     )

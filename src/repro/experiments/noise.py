@@ -33,8 +33,6 @@ def run(
     *,
     error_rate: float = 0.1,
     replications: int = 3,
-    jobs: int | None = None,
-    pool=None,
 ) -> Table:
     amazon, _ = build_datasets(scale, seed)
     hierarchy = amazon.hierarchy
@@ -79,8 +77,6 @@ def run(
             replications=replications,
             seed=seed,
             max_queries=budget,
-            jobs=jobs,
-            pool=pool,
             **extra,
         )
         table.add_row(
@@ -100,16 +96,9 @@ def main(
     *,
     error_rate: float = 0.1,
     replications: int = 3,
-    jobs: int | None = None,
-    pool=None,
 ) -> str:
     output = run(
-        scale,
-        seed,
-        error_rate=error_rate,
-        replications=replications,
-        jobs=jobs,
-        pool=pool,
+        scale, seed, error_rate=error_rate, replications=replications
     ).render()
     print(output)
     return output

@@ -116,13 +116,12 @@ class CircuitBreaker:
       *trips* to open.
     * ``open`` — traffic is refused for ``cooldown`` ticks
       (:meth:`tick`, one per admission attempt).
-    * ``half-open`` — exactly one probe is allowed
-      (:meth:`allow_probe`); its success (:meth:`record_success`)
-      restores ``closed``, its failure re-trips with a fresh cooldown.
+    * ``half-open`` — exactly one probe is allowed; its success
+      (:meth:`record_success`) restores ``closed``, its failure re-trips
+      with a fresh cooldown.
 
-    ``on_trip``/``on_restore`` callbacks fire on the state *transitions*
-    (not on every recorded failure), which is where a caller hooks its
-    stats counters.
+    ``trips`` and ``restores`` count the state *transitions* (not every
+    recorded failure).
     """
 
     CLOSED = "closed"
@@ -137,18 +136,9 @@ class CircuitBreaker:
         "_state",
         "_failures",
         "_remaining",
-        "_on_trip",
-        "_on_restore",
     )
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 1,
-        cooldown: int = 3,
-        on_trip=None,
-        on_restore=None,
-    ) -> None:
+    def __init__(self, *, failure_threshold: int = 1, cooldown: int = 3) -> None:
         if failure_threshold < 1:
             raise FaultError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
@@ -163,17 +153,10 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._failures = 0
         self._remaining = 0
-        self._on_trip = on_trip
-        self._on_restore = on_restore
 
     @property
     def state(self) -> str:
         return self._state
-
-    @property
-    def probing(self) -> bool:
-        """True while the breaker is half-open (one probe outstanding)."""
-        return self._state == self.HALF_OPEN
 
     def record_failure(self) -> None:
         """Note one infrastructure failure; trip when the threshold hits.
@@ -191,8 +174,6 @@ class CircuitBreaker:
             self._remaining = self.cooldown
             self._failures = 0
             self.trips += 1
-            if self._on_trip is not None:
-                self._on_trip()
 
     def record_success(self) -> None:
         """Note healthy traffic; restores ``closed`` from half-open."""
@@ -200,8 +181,6 @@ class CircuitBreaker:
         if self._state != self.CLOSED:
             self._state = self.CLOSED
             self.restores += 1
-            if self._on_restore is not None:
-                self._on_restore()
 
     def tick(self) -> None:
         """Advance the cooldown clock one tick (one server step)."""
@@ -209,10 +188,6 @@ class CircuitBreaker:
             self._remaining -= 1
             if self._remaining <= 0:
                 self._state = self.HALF_OPEN
-
-    def allow_probe(self) -> bool:
-        """True when half-open: the caller may send exactly one probe."""
-        return self._state == self.HALF_OPEN
 
     def __repr__(self) -> str:
         return (

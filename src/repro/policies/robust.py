@@ -116,8 +116,8 @@ def batched_repeated_search_majority(
     count-then-``str(label)`` tie-break as the loop above) folds them.
     Returns the :class:`~repro.engine.belief.NoisyResult`; cells whose runs
     all failed carry label ``-1`` instead of raising, so a sweep never
-    aborts on one unlucky cell.  Extra keyword arguments (``jobs=``,
-    ``pool=``, ``votes=``, ...) pass through to the engine.
+    aborts on one unlucky cell.  Extra keyword arguments (``pool=``,
+    ``votes=``, ...) pass through to the engine.
     """
     from repro.engine.belief import simulate_noisy
 

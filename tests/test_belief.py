@@ -7,9 +7,8 @@ per-session reference (one oracle stack + ``run_search`` per session)
 — same labels, same question/vote counts, same prices, same outcome
 codes — and stays bit-identical to itself whichever way the batch
 executes: inline in one block, chunked (``batch_size=``), sharded over
-a per-call process pool (``jobs=``), on a warm
-:class:`~repro.engine.EvaluationPool`, or with any splitter kernel
-forced (``kind=``).  Hypothesis searches random trees/DAGs for
+a fresh or a warm :class:`~repro.engine.EvaluationPool`, or with any
+splitter kernel forced (``kind=``).  Hypothesis searches random trees/DAGs for
 violations and shrinks any counterexample to a printed seed;
 ``derandomize=True`` keeps CI stable run to run.
 
@@ -202,10 +201,12 @@ class TestBatchShapeInvariance:
             )
 
         reference = run()
+        with EvaluationPool(workers=2) as fresh:
+            fresh_result = run(pool=fresh)
         modes = {
             "batch_size=1": run(batch_size=1),
             "batch_size=5": run(batch_size=5),
-            "jobs=2": run(jobs=2),
+            "fresh pool": fresh_result,
             "warm pool": run(pool=_POOL),
         }
         for splitter in SPLITTER_KINDS:

@@ -3,8 +3,8 @@
 The engine's core contract since the sharded-walk PR: for any hierarchy,
 policy, and configuration, the per-target ``queries``/``prices`` arrays
 and ``decision_nodes`` are *bit-identical* whichever way the walk executes
-— sequentially, sharded over a per-call process pool (``jobs=N``), on a
-warm persistent :class:`~repro.engine.EvaluationPool`, or overlapped with
+— sequentially, on a fresh :class:`~repro.engine.EvaluationPool` (first
+publish and worker attach), on a warm persistent pool, or overlapped with
 other policies in one :func:`~repro.engine.simulate_policies` batch.  The
 fixed-case tests in ``test_parallel.py`` / ``test_pool.py`` locate
 failures precisely; this suite *searches* for violations over random
@@ -30,7 +30,7 @@ from repro.testing import make_random_dag, make_random_tree, random_distribution
 #: Policies that only define behaviour on trees (mirrors test_plan.py).
 TREE_ONLY = {"greedy-tree"}
 
-#: Modest example counts: every example forks worker processes, so the
+#: Modest example counts: every example starts a fresh pool, so the
 #: suite trades exhaustiveness per run for a tolerable wall-clock; CI runs
 #: it on every push, which is where the coverage accumulates.
 _SETTINGS = dict(
@@ -78,17 +78,23 @@ def _assert_same(a, b, context: str) -> None:
     assert np.array_equal(a.prices, b.prices, equal_nan=True), context
 
 
+def _on_fresh_pool(*args, **kwargs):
+    """One evaluation on a new two-worker pool, closed afterwards."""
+    with EvaluationPool(workers=2) as pool:
+        return simulate_all_targets(*args, pool=pool, **kwargs)
+
+
 def _all_mode_results(policy_name, hierarchy, distribution, costs=None):
     """The same evaluation through all four execution modes."""
     common = dict(result_cache=False)
     return {
         "sequential": simulate_all_targets(
             make_policy(policy_name), hierarchy, distribution, costs,
-            jobs=1, pool=False, **common,
+            pool=False, **common,
         ),
-        "jobs=2": simulate_all_targets(
+        "fresh pool": _on_fresh_pool(
             make_policy(policy_name), hierarchy, distribution, costs,
-            jobs=2, pool=False, **common,
+            **common,
         ),
         "warm pool": simulate_all_targets(
             make_policy(policy_name), hierarchy, distribution, costs,
@@ -169,7 +175,7 @@ class TestEveryModeBitIdentical:
         serial = [
             simulate_all_targets(
                 make_policy(name), hierarchy, distribution,
-                jobs=1, pool=False, result_cache=False,
+                pool=False, result_cache=False,
             )
             for name in chosen
         ]
@@ -205,9 +211,9 @@ class TestEveryModeBitIdentical:
             make_policy("greedy-tree"), hierarchy, distribution
         )
         kwargs = dict(targets=sample, result_cache=False)
-        reference = simulate_all_targets(plan, jobs=1, pool=False, **kwargs)
+        reference = simulate_all_targets(plan, pool=False, **kwargs)
         for mode, result in {
-            "jobs=2": simulate_all_targets(plan, jobs=2, pool=False, **kwargs),
+            "fresh pool": _on_fresh_pool(plan, **kwargs),
             "warm pool": simulate_all_targets(plan, pool=_POOL, **kwargs),
         }.items():
             _assert_same(

@@ -274,37 +274,36 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_trip_cooldown_probe_restore(self):
-        events = []
-        breaker = CircuitBreaker(
-            cooldown=2,
-            on_trip=lambda: events.append("trip"),
-            on_restore=lambda: events.append("restore"),
-        )
+        breaker = CircuitBreaker(cooldown=2)
         assert breaker.state == CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow_probe()
+        assert (breaker.trips, breaker.restores) == (1, 0)
         breaker.tick()
         assert breaker.state == CircuitBreaker.OPEN
         breaker.tick()
         assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow_probe() and breaker.probing
+        assert (breaker.trips, breaker.restores) == (1, 0)
         breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
-        assert events == ["trip", "restore"]
-        assert breaker.trips == 1 and breaker.restores == 1
+        assert (breaker.trips, breaker.restores) == (1, 1)
+        breaker.record_success()  # already closed: not another restore
+        assert breaker.restores == 1
 
     def test_failed_probe_retrips_fresh_cooldown(self):
         breaker = CircuitBreaker(cooldown=3)
         breaker.record_failure()
         for _ in range(3):
             breaker.tick()
-        assert breaker.probing
+        assert breaker.state == CircuitBreaker.HALF_OPEN
         breaker.record_failure()  # the probe failed
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 2
+        assert (breaker.trips, breaker.restores) == (2, 0)
+        breaker.tick()
         breaker.tick()
         assert breaker.state == CircuitBreaker.OPEN  # full cooldown again
+        breaker.tick()
+        assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_threshold_counts_consecutive_failures(self):
         breaker = CircuitBreaker(failure_threshold=3, cooldown=1)
@@ -317,15 +316,18 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
+        assert (breaker.trips, breaker.restores) == (1, 0)
 
     def test_failures_while_open_ignored(self):
         breaker = CircuitBreaker(cooldown=2)
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_failure()
-        assert breaker.trips == 1
+        assert (breaker.trips, breaker.restores) == (1, 0)
         breaker.tick()
-        assert breaker.state == CircuitBreaker.OPEN  # cooldown not extended
+        assert breaker.state == CircuitBreaker.OPEN
+        breaker.tick()
+        assert breaker.state == CircuitBreaker.HALF_OPEN  # cooldown not extended
 
     def test_validation(self):
         with pytest.raises(FaultError):

@@ -6,9 +6,9 @@ Three subsystems under contract here:
   (:meth:`repro.core.hierarchy.Hierarchy.reachability_bits`,
   :func:`repro.engine.make_splitter`) — every kind must produce identical
   splits on trees and on DAGs straddling ``_MATRIX_NODE_LIMIT``;
-* the sharded parallel engine (:mod:`repro.engine.parallel`) — the
-  :class:`~repro.engine.EngineResult` arrays *and* ``decision_nodes`` must
-  be bit-identical for every ``jobs`` value;
+* the sharded walk on a fresh :class:`~repro.engine.EvaluationPool` —
+  the :class:`~repro.engine.EngineResult` arrays *and* ``decision_nodes``
+  must be bit-identical to the sequential walk for every worker count;
 * the persistent engine-result cache (:mod:`repro.engine.cache`) —
   hit/miss/corrupt-entry behaviour mirroring the plan cache's suite.
 """
@@ -22,9 +22,8 @@ from repro.core import hierarchy as hierarchy_mod
 from repro.core.costs import TableCost
 from repro.engine import (
     EngineResultCache,
+    EvaluationPool,
     make_splitter,
-    resolve_jobs,
-    set_default_jobs,
     set_default_result_cache,
     simulate_all_targets,
 )
@@ -39,6 +38,16 @@ from repro.testing import (
 
 def _fresh_dag(n=40, seed=3):
     return make_random_dag(n, seed=seed)
+
+
+def _sequential(*args, **kwargs):
+    return simulate_all_targets(*args, pool=False, **kwargs)
+
+
+def _on_fresh_pool(workers, *args, **kwargs):
+    """One evaluation on a new pool of ``workers``, closed afterwards."""
+    with EvaluationPool(workers) as pool:
+        return simulate_all_targets(*args, pool=pool, **kwargs)
 
 
 def _assert_same_result(a, b):
@@ -173,18 +182,16 @@ class TestSplitterKinds:
 
 
 # ----------------------------------------------------------------------
-# Sharded parallel engine
+# Sharded walk on a fresh pool
 # ----------------------------------------------------------------------
 class TestShardedEngine:
     def test_tree_jobs_bit_identical(self):
         hierarchy = make_random_tree(120, seed=9)
         distribution = random_distribution(hierarchy, 9)
-        sequential = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, jobs=1
-        )
-        for jobs in (2, 4):
-            sharded = simulate_all_targets(
-                GreedyTreePolicy(), hierarchy, distribution, jobs=jobs
+        sequential = _sequential(GreedyTreePolicy(), hierarchy, distribution)
+        for workers in (2, 4):
+            sharded = _on_fresh_pool(
+                workers, GreedyTreePolicy(), hierarchy, distribution
             )
             assert sharded.method == "plan"
             _assert_same_result(sequential, sharded)
@@ -193,12 +200,8 @@ class TestShardedEngine:
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = _fresh_dag(n=60, seed=4)
         distribution = random_distribution(hierarchy, 4)
-        sequential = simulate_all_targets(
-            GreedyDagPolicy(), hierarchy, distribution, jobs=1
-        )
-        sharded = simulate_all_targets(
-            GreedyDagPolicy(), hierarchy, distribution, jobs=3
-        )
+        sequential = _sequential(GreedyDagPolicy(), hierarchy, distribution)
+        sharded = _on_fresh_pool(3, GreedyDagPolicy(), hierarchy, distribution)
         _assert_same_result(sequential, sharded)
 
     def test_restricted_targets_jobs_bit_identical(self):
@@ -206,11 +209,11 @@ class TestShardedEngine:
         distribution = random_distribution(hierarchy, 10)
         sample = list(hierarchy.nodes[::2])
         kwargs = dict(targets=sample, max_queries=2 * hierarchy.n + 10)
-        sequential = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, jobs=1, **kwargs
+        sequential = _sequential(
+            GreedyTreePolicy(), hierarchy, distribution, **kwargs
         )
-        sharded = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, jobs=2, **kwargs
+        sharded = _on_fresh_pool(
+            2, GreedyTreePolicy(), hierarchy, distribution, **kwargs
         )
         _assert_same_result(sequential, sharded)
 
@@ -220,11 +223,11 @@ class TestShardedEngine:
         costs = TableCost(
             {node: 1.0 + (i % 5) for i, node in enumerate(hierarchy.nodes)}
         )
-        sequential = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, costs, jobs=1
+        sequential = _sequential(
+            GreedyTreePolicy(), hierarchy, distribution, costs
         )
-        sharded = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, costs, jobs=2
+        sharded = _on_fresh_pool(
+            2, GreedyTreePolicy(), hierarchy, distribution, costs
         )
         _assert_same_result(sequential, sharded)
 
@@ -240,8 +243,8 @@ class TestShardedEngine:
         plan.save(tmp_path / "p.plan")
         loaded = CompiledPlan.load(tmp_path / "p.plan")
         assert loaded.hierarchy is not hierarchy  # equal but distinct
-        sequential = simulate_all_targets(loaded, hierarchy, jobs=1)
-        sharded = simulate_all_targets(loaded, hierarchy, jobs=2)
+        sequential = _sequential(loaded, hierarchy)
+        sharded = _on_fresh_pool(2, loaded, hierarchy)
         _assert_same_result(sequential, sharded)
 
     def test_replay_policy_falls_back_sequential(self):
@@ -249,29 +252,14 @@ class TestShardedEngine:
 
         hierarchy = make_random_tree(25, seed=11)
         distribution = random_distribution(hierarchy, 11)
-        sequential = simulate_all_targets(
-            ForcedReplayPolicy(seed=11), hierarchy, distribution, jobs=1
+        sequential = _sequential(
+            ForcedReplayPolicy(seed=11), hierarchy, distribution
         )
-        parallel = simulate_all_targets(
-            ForcedReplayPolicy(seed=11), hierarchy, distribution, jobs=4
+        parallel = _on_fresh_pool(
+            4, ForcedReplayPolicy(seed=11), hierarchy, distribution
         )
         assert parallel.method == "replay"
         _assert_same_result(sequential, parallel)
-
-    def test_resolve_jobs(self):
-        import os
-
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) == max(1, os.cpu_count() or 1)
-        assert resolve_jobs(-1) == max(1, os.cpu_count() or 1)
-        set_default_jobs(2)
-        try:
-            assert resolve_jobs(None) == 2
-            assert resolve_jobs(1) == 1  # explicit beats the default
-        finally:
-            set_default_jobs(None)
-        assert resolve_jobs(None) == 1
 
 
 # ----------------------------------------------------------------------

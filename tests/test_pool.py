@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core.costs import TableCost
+from repro.core.distribution import TargetDistribution
 from repro.engine import (
     EvaluationPool,
     get_default_pool,
@@ -48,6 +49,7 @@ from repro.evaluation.comparison import compare_policies
 from repro.exceptions import BudgetExceededError, PoolError
 from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy, make_policy
+from repro.taxonomy import imagenet_like
 from repro.testing import make_random_dag, make_random_tree, random_distribution
 
 
@@ -85,7 +87,7 @@ class TestPoolParity:
         hierarchy, distribution = _tree_config()
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
+            plan, result_cache=False, pool=False
         )
         warm = simulate_all_targets(plan, result_cache=False, pool=pool)
         _assert_same_result(sequential, warm)
@@ -102,7 +104,7 @@ class TestPoolParity:
             make_policy("greedy-dag"), hierarchy, distribution
         )
         sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
+            plan, result_cache=False, pool=False
         )
         warm = simulate_all_targets(plan, result_cache=False, pool=pool)
         _assert_same_result(sequential, warm)
@@ -114,7 +116,7 @@ class TestPoolParity:
         )
         sequential = simulate_all_targets(
             GreedyTreePolicy(), hierarchy, distribution, costs,
-            jobs=1, result_cache=False, pool=False,
+            result_cache=False, pool=False,
         )
         warm = simulate_all_targets(
             GreedyTreePolicy(), hierarchy, distribution, costs,
@@ -128,7 +130,7 @@ class TestPoolParity:
         kwargs = dict(targets=sample, max_queries=2 * hierarchy.n + 10)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False, **kwargs
+            plan, result_cache=False, pool=False, **kwargs
         )
         warm = simulate_all_targets(
             plan, result_cache=False, pool=pool, **kwargs
@@ -147,7 +149,7 @@ class TestPoolParity:
             make_policy("greedy-dag"), hierarchy, distribution
         )
         sequential = simulate_all_targets(
-            plan, hierarchy, jobs=1, result_cache=False, pool=False
+            plan, hierarchy, result_cache=False, pool=False
         )
         warm = simulate_all_targets(
             plan, hierarchy, result_cache=False, pool=pool
@@ -177,7 +179,7 @@ class TestOverlappedBatch:
         singles = [
             simulate_all_targets(
                 p, hierarchy, distribution,
-                jobs=1, result_cache=False, pool=False,
+                result_cache=False, pool=False,
             )
             for p in policies
         ]
@@ -197,7 +199,7 @@ class TestOverlappedBatch:
         singles = [
             simulate_all_targets(
                 policy, hierarchy, distribution,
-                jobs=1, result_cache=False, pool=False,
+                result_cache=False, pool=False,
             )
             for policy in (make_policy("greedy-tree"), ForcedReplayPolicy())
         ]
@@ -223,7 +225,7 @@ class TestOverlappedBatch:
                 **kwargs,
             )
 
-        serial = run(jobs=1, pool=False)
+        serial = run(pool=False)
         overlapped = run(pool=pool)
         for a, b in zip(serial.results, overlapped.results):
             assert a.policy == b.policy
@@ -309,20 +311,93 @@ class TestLifecycle:
             pool.close()
         assert resolve_pool(None) is None
 
-    def test_explicit_jobs_opts_out_of_default_pool(self):
-        """jobs=1 must mean a sequential in-process walk even when a
+    def test_pool_false_opts_out_of_default_pool(self):
+        """pool=False must mean a sequential in-process walk even when a
         default pool is installed (timing callers depend on it)."""
         hierarchy, distribution = _tree_config(n=40)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         pool = EvaluationPool(workers=1)
         try:
             set_default_pool(pool)
-            result = simulate_all_targets(plan, jobs=1, result_cache=False)
+            result = simulate_all_targets(plan, pool=False, result_cache=False)
             assert result.num_targets == hierarchy.n
+            (batched,) = simulate_policies([plan], pool=False, result_cache=False)
+            assert batched.num_targets == hierarchy.n
             assert pool.walks == 0  # the pool was never consulted
         finally:
             set_default_pool(None)
             pool.close()
+
+    def test_close_never_waits_out_the_join_budget(self):
+        """Back-to-back create / walk / close cycles: every worker gets
+        its shutdown sentinel, so no close() sits out the 5 s join budget.
+
+        A worker may take any sentinel and exit before close() queues the
+        next one.  Left to chance that window is microseconds wide, so the
+        task queue is wrapped to hold it open on every cycle.  Fork where
+        available: spawn boots add seconds per cycle without changing the
+        close path.
+        """
+        hierarchy = imagenet_like(400, seed=2)
+        plan = compile_policy(
+            make_policy("topdown"), hierarchy, TargetDistribution.equal(hierarchy)
+        )
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        for cycle in range(40):
+            pool = EvaluationPool(workers=2, start_method=method)
+            simulate_all_targets(plan, result_cache=False, pool=pool)
+            pool._tasks = _SentinelWindow(pool._tasks, list(pool._procs))
+            start = time.monotonic()
+            pool.close()
+            elapsed = time.monotonic() - start
+            assert elapsed < 1.0, f"close() took {elapsed:.2f}s in cycle {cycle}"
+
+
+class _SentinelWindow:
+    """Task-queue proxy: after each shutdown sentinel, wait (up to 2 s)
+    until one more worker has exited before close() moves on."""
+
+    def __init__(self, tasks, procs) -> None:
+        self._tasks = tasks
+        self._procs = procs
+        self._sent = 0
+
+    def put(self, msg) -> None:
+        self._tasks.put(msg)
+        if msg is None:
+            self._sent += 1
+            deadline = time.monotonic() + 2.0
+            while (
+                sum(not proc.is_alive() for proc in self._procs) < self._sent
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+
+    def __getattr__(self, name):
+        return getattr(self._tasks, name)
+
+
+class TestEnvironment:
+    """Malformed pool environment variables raise a typed PoolError that
+    names the variable and its value."""
+
+    def test_malformed_pool_workers(self, monkeypatch):
+        from repro.engine import pool as pool_mod
+
+        monkeypatch.setattr(pool_mod, "_default_pool", pool_mod._UNSET)
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "four")
+        with pytest.raises(PoolError, match="REPRO_POOL_WORKERS='four'"):
+            get_default_pool()
+
+    def test_malformed_pool_deadline(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_DEADLINE", "soon")
+        with pytest.raises(PoolError, match="REPRO_POOL_DEADLINE='soon'"):
+            EvaluationPool(workers=1)
+
+    def test_malformed_pool_start_method(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "bogus")
+        with pytest.raises(PoolError, match="REPRO_POOL_START_METHOD='bogus'"):
+            EvaluationPool(workers=1)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +442,7 @@ class TestRegistry:
         with EvaluationPool(workers=1, max_plans=1) as pool:
             plan = self._plan(seed=1)
             sequential = simulate_all_targets(
-                plan, jobs=1, result_cache=False, pool=False
+                plan, result_cache=False, pool=False
             )
             simulate_all_targets(plan, result_cache=False, pool=pool)
             # Push the plan out of the registry with a different one.
@@ -390,7 +465,7 @@ class TestRegistry:
         assert plan.config_key == ""
         with EvaluationPool(workers=1) as pool:
             sequential = simulate_all_targets(
-                plan, jobs=1, result_cache=False, pool=False
+                plan, result_cache=False, pool=False
             )
             warm = simulate_all_targets(plan, result_cache=False, pool=pool)
             _assert_same_result(sequential, warm)
@@ -407,7 +482,7 @@ class TestFailureInjection:
         hierarchy, distribution = _tree_config(seed=seed)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         reference = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
+            plan, result_cache=False, pool=False
         )
         return plan, reference
 
@@ -524,7 +599,7 @@ class TestSpawnStartMethod:
         hierarchy, distribution = _tree_config(n=80, seed=10)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
+            plan, result_cache=False, pool=False
         )
         with EvaluationPool(workers=2, start_method="spawn") as pool:
             assert pool.start_method == "spawn"
