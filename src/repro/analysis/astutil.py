@@ -78,14 +78,6 @@ def walk_functions(
             yield node
 
 
-def contains_name(node: ast.AST, name: str) -> bool:
-    """True when ``name`` is read anywhere inside ``node``."""
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name
-        for sub in ast.walk(node)
-    )
-
-
 def call_attr(node: ast.expr) -> str | None:
     """For a call's ``func``, the final attribute name (``x.y.close -> close``)."""
     if isinstance(node, ast.Attribute):

@@ -86,13 +86,6 @@ class ModuleCallGraph:
             else:
                 self._index(child, cls=cls)
 
-    def qualname_of(self, node: ast.AST) -> str | None:
-        """The qualified name of a registered def node, if any."""
-        for qual, fn in self.functions.items():
-            if fn is node:
-                return qual
-        return None
-
     def class_of(self, qual: str) -> str | None:
         cls, sep, _ = qual.rpartition(".")
         return cls if sep else None

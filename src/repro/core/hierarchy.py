@@ -37,6 +37,10 @@ _MATRIX_NODE_LIMIT = 8192
 #: (~0.5 GB) — well past the paper's 27,714-node ImageNet hierarchy (~96 MB).
 _BITSET_BYTE_LIMIT = 1 << 29
 
+#: Elements (2 MB of float64, cache-sized) per row-block temporary of
+#: :meth:`Hierarchy.reach_weight_vector` (at least 256 dense-matrix rows).
+_BLOCK_ELEMENTS = 1 << 18
+
 
 class Hierarchy:
     """An immutable single-rooted DAG over hashable node labels.
@@ -360,24 +364,10 @@ class Hierarchy:
         return cached
 
     def subtree_sizes_ix(self) -> list[int]:
-        """|G_v| for every node index ``v``.
-
-        Exact for trees via one bottom-up pass; for DAGs this falls back to
-        the reachability matrix (small graphs) or per-node BFS.
-        """
+        """|G_v| for every node index ``v``: :meth:`reach_weight_vector` of ones."""
         if self._subtree_sizes is None:
-            if self.is_tree:
-                sizes = [1] * self.n
-                for v in reversed(self._topo):
-                    for c in self._children[v]:
-                        sizes[v] += sizes[c]
-            else:
-                matrix = self.reachability_matrix(allow_large=False)
-                if matrix is not None:
-                    sizes = [int(row.sum()) for row in matrix]
-                else:
-                    sizes = [len(self.descendants_ix(v)) for v in range(self.n)]
-            self._subtree_sizes = sizes
+            ones = np.ones(self.n)
+            self._subtree_sizes = self.reach_weight_vector(ones).astype(np.int64).tolist()
         return list(self._subtree_sizes)
 
     def tree_intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -428,12 +418,8 @@ class Hierarchy:
             return self._reach_matrix
         if self.n > _MATRIX_NODE_LIMIT and not allow_large:
             return None
-        matrix = np.zeros((self.n, self.n), dtype=bool)
-        for v in reversed(self._topo):
-            row = matrix[v]
-            row[v] = True
-            for c in self._children[v]:
-                row |= matrix[c]
+        packed = self._packed_reach_slab(0, self.n)
+        matrix = np.unpackbits(packed, axis=1, count=self.n).view(bool)
         from repro.analysis import sanitize
 
         self._reach_matrix = sanitize.freeze(matrix)
@@ -465,15 +451,7 @@ class Hierarchy:
         row_bytes = (n + 7) >> 3
         if n * row_bytes > _BITSET_BYTE_LIMIT and not allow_large:
             return None
-        bits = np.zeros((n, row_bytes), dtype=np.uint8)
-        diag = np.arange(n)
-        bits[diag, diag >> 3] = (
-            np.left_shift(1, 7 - (diag & 7)).astype(np.uint8)
-        )
-        for v in reversed(self._topo):
-            row = bits[v]
-            for c in self._children[v]:
-                row |= bits[c]
+        bits = self._packed_reach_slab(0, row_bytes)
         bits.setflags(write=False)
         self._reach_bits = bits
         return bits
@@ -499,56 +477,54 @@ class Hierarchy:
             bits.setflags(write=False)
         self._reach_bits = bits
 
+    def _packed_reach_slab(self, lo: int, hi: int) -> np.ndarray:
+        """Byte columns ``lo .. hi - 1`` of :meth:`reachability_bits`: one
+        reverse-topological pass ORing each child's packed row into its parents'."""
+        n = self.n
+        hi = min(hi, (n + 7) >> 3)
+        slab = np.zeros((n, hi - lo), dtype=np.uint8)
+        diag = np.arange(8 * lo, min(8 * hi, n))
+        slab[diag, (diag >> 3) - lo] = np.left_shift(1, 7 - (diag & 7)).astype(np.uint8)
+        for v in reversed(self._topo):
+            row = slab[v]
+            for c in self._children[v]:
+                row |= slab[c]
+        return slab
+
     def reach_weight_vector(self, weights: np.ndarray) -> np.ndarray:
         """``w(G_v)`` for every node ``v``: total weight of its reachable set.
 
-        Uses the cached boolean reachability matrix when the hierarchy is
-        small enough, a one-pass bottom-up sum for trees, and per-node BFS
-        otherwise.  ``weights`` must be aligned to node indices.
+        Trees take one bottom-up pass.  DAGs within the matrix limit reduce
+        the dense boolean matrix in row blocks; larger DAGs reduce the
+        packed :meth:`reachability_bits` rows through a byte lookup table,
+        and above the bitset limit sweep packed column slabs of it one at a
+        time.  ``weights`` must be aligned to node indices.
         """
         if len(weights) != self.n:
             raise HierarchyError(
                 f"weight vector has length {len(weights)}, expected {self.n}"
             )
         if self.is_tree:
-            totals = np.asarray(weights, dtype=np.result_type(weights, 0.0))
-            totals = totals.copy()
+            totals = np.array(weights, dtype=np.result_type(weights, 0.0))
             for v in reversed(self._topo):
                 for c in self._children[v]:
                     totals[v] += totals[c]
             return totals
+        weights = np.asarray(weights, dtype=float)
+        n = self.n
         matrix = self.reachability_matrix(allow_large=False)
         if matrix is not None:
-            return matrix @ np.asarray(weights)
-        return self._reach_weights_blocked(np.asarray(weights, dtype=float))
-
-    def _reach_weights_blocked(
-        self, weights: np.ndarray, block: int = 4096
-    ) -> np.ndarray:
-        """``w(G_v)`` for all ``v`` without materialising the n x n matrix.
-
-        Processes reachability in column blocks: for each block of target
-        nodes ``C``, one reverse-topological sweep computes the boolean
-        ``n x |C|`` slab ``R[v, j] = (v reaches C[j])``, which immediately
-        contributes ``R @ w[C]`` to the totals.  Peak memory is ``n * block``
-        bytes, so paper-scale DAGs (~28k nodes) need ~100 MB instead of the
-        ~800 MB dense matrix.
-        """
-        totals = np.zeros(self.n, dtype=float)
-        order = list(reversed(self._topo))
-        for start in range(0, self.n, block):
-            columns = np.arange(start, min(start + block, self.n))
-            slab = np.zeros((self.n, len(columns)), dtype=bool)
-            in_block = {int(c): j for j, c in enumerate(columns)}
-            for v in order:
-                row = slab[v]
-                j = in_block.get(v)
-                if j is not None:
-                    row[j] = True
-                for c in self._children[v]:
-                    row |= slab[c]
-            totals += slab @ weights[columns]
-        return totals
+            # Whole 256-row blocks keep each row's BLAS dot product, and so
+            # the result, bit-identical to the unblocked ``matrix @ weights``.
+            rows = 256 * max(1, _BLOCK_ELEMENTS // (256 * n))
+            return np.concatenate([matrix[s : s + rows] @ weights for s in range(0, n, rows)])
+        bits = self.reachability_bits(allow_large=False)
+        if bits is not None:
+            return _packed_row_sums(bits, weights)
+        width = max(1, (_BITSET_BYTE_LIMIT >> 3) // n)
+        slab = self._packed_reach_slab
+        starts = range(0, (n + 7) >> 3, width)
+        return sum(_packed_row_sums(slab(lo, lo + width), weights[8 * lo :]) for lo in starts)
 
     # ------------------------------------------------------------------
     # Pickling
@@ -632,6 +608,26 @@ class Hierarchy:
 # ----------------------------------------------------------------------
 # Module-level helpers
 # ----------------------------------------------------------------------
+def _packed_row_sums(slab: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-row total of ``weights`` (from the slab's first bit on) over set bits.
+
+    ``table[k, b]`` is the weight of the up-to-8 targets byte value ``b``
+    selects in byte column ``k``, so a row's total is ``sum_k table[k,
+    row[k]]``: a flat ``take`` and a row sum per block of rows, never an
+    unpacked or float64 copy of the slab.  Integer weights sum exactly.
+    """
+    n, k = slab.shape
+    weights = weights[: 8 * k]
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0)
+    table = (np.pad(weights, (0, 8 * k - len(weights))).reshape(k, 8) @ byte_bits).ravel()
+    offsets = np.arange(0, 256 * k, 256)
+    rows = max(1, _BLOCK_ELEMENTS // k)
+    totals = np.empty(n)
+    for s in range(0, n, rows):
+        totals[s : s + rows] = table.take(slab[s : s + rows] + offsets).sum(axis=1)
+    return totals
+
+
 def _bfs(start: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
     """Nodes reachable from ``start`` (inclusive) following ``adjacency``."""
     seen = {start}

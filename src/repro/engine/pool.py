@@ -57,8 +57,8 @@ engine spreads it over processes:
 
 The pool works under every start method: ``fork`` where available
 (workers inherit the code base for free), otherwise ``spawn`` — workers
-receive only the two queues and import everything else, and plans still
-travel through shared memory, never the spawn pickle stream
+receive only the two queues and a busy flag and import everything else,
+and plans still travel through shared memory, never the spawn pickle stream
 (``REPRO_POOL_START_METHOD`` forces a method, which the spawn CI leg uses
 on Linux).  Teardown is deterministic: pools are context managers, and an
 ``atexit`` hook closes anything left open so no ``/dev/shm`` segment
@@ -414,12 +414,12 @@ def _worker_attach(attached: dict, order: list, key: str, seg_name: str):
     return plan, hierarchy
 
 
-def _worker_main(tasks, results) -> None:
+def _worker_main(tasks, results, busy, slot: int) -> None:
     """Long-lived worker loop: attach plans by key, walk frame buckets.
 
     Module-level so the ``spawn`` start method can import it; receives only
-    the two queues — everything else arrives via shared memory or inside
-    task messages.
+    the two queues and its ``busy[slot]`` flag (set while a task runs) —
+    everything else arrives via shared memory or inside task messages.
     """
     from repro.engine.driver import _plan_walk
     from repro.engine.vector import make_splitter
@@ -427,7 +427,7 @@ def _worker_main(tasks, results) -> None:
     attached: dict[str, tuple] = {}
     order: list[str] = []
     try:
-        _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter)
+        _worker_loop(tasks, results, busy, slot, attached, order, _plan_walk, make_splitter)
     finally:
         # Detach deterministically: drop the plan/hierarchy views *before*
         # closing each mapping, so interpreter-exit GC never tries to close
@@ -441,7 +441,7 @@ def _worker_main(tasks, results) -> None:
                 pass
 
 
-def _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter):
+def _worker_loop(tasks, results, busy, slot, attached, order, _plan_walk, make_splitter):
     # Results carry the worker's pid so the parent can attribute errors
     # ("task 17 on worker pid 4242") and keep per-worker health counters.
     pid = os.getpid()
@@ -453,6 +453,7 @@ def _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter):
         if msg is None:
             return
         kind, task_id = msg[0], msg[1]
+        busy[slot] = 1
         try:
             if kind == "walk":
                 _, _, key, seg_name, frames, model, budget, check, split_kind = msg
@@ -503,6 +504,8 @@ def _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter):
                 results.put((task_id, "error", payload, pid))
             except Exception:
                 pass
+        finally:
+            busy[slot] = 0
 
 
 # ----------------------------------------------------------------------
@@ -627,6 +630,10 @@ class EvaluationPool:
         #: Per-worker heartbeat records, keyed by pid (see :meth:`health`).
         self._health: dict[int, WorkerHealth] = {}
         self._closed = False
+        #: Per-slot worker busy flags; a timeout marks the busy workers'
+        #: pids wedged, and close() terminates those without a join budget.
+        self._busy = self._ctx.RawArray("b", self.workers)
+        self._wedged: set[int] = set()
         #: Walks served, workers respawned after a death, segments evicted.
         self.walks = 0
         self.respawns = 0
@@ -675,7 +682,7 @@ class EvaluationPool:
             pass
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._tasks, self._results),
+            args=(self._tasks, self._results, self._busy, len(self._procs)),
             daemon=True,
             name=f"repro-pool-worker-{len(self._procs)}",
         )
@@ -707,6 +714,8 @@ class EvaluationPool:
                 proc.kill()
                 proc.join(1.0)
         self._procs = []
+        self._busy[:] = [0] * self.workers  # a killed worker's flag may be stuck
+        self._wedged.clear()
         for q in (self._tasks, self._results):
             try:
                 q.close()
@@ -722,6 +731,8 @@ class EvaluationPool:
     def close(self) -> None:
         """Stop every worker and unlink every published segment.
 
+        Workers get :data:`_JOIN_TIMEOUT` to exit, except those busy when a
+        call timed out (still wedged), which are terminated at once.
         Idempotent; also runs from the ``atexit`` hook for pools left open.
         """
         if self._closed:
@@ -738,7 +749,8 @@ class EvaluationPool:
                 pass
         deadline = time.monotonic() + _JOIN_TIMEOUT  # repro: noqa RPA004 - teardown join budget, not result data
         for proc in self._procs:
-            proc.join(max(0.0, deadline - time.monotonic()))  # repro: noqa RPA004 - teardown join budget, not result data
+            if getattr(proc, "pid", None) not in self._wedged:
+                proc.join(max(0.0, deadline - time.monotonic()))  # repro: noqa RPA004 - teardown join budget, not result data
             if proc.is_alive():
                 proc.terminate()
                 proc.join(1.0)
@@ -768,6 +780,7 @@ class EvaluationPool:
         """Heartbeat bookkeeping for one received worker result."""
         if pid is None:
             return
+        self._wedged.discard(pid)
         entry = self._health.get(pid)
         if entry is None:
             entry = self._health[pid] = WorkerHealth(pid)
@@ -1069,6 +1082,7 @@ class EvaluationPool:
                     deadline is not None
                     and time.monotonic() - last_progress >= deadline  # repro: noqa RPA004 - deadline bookkeeping, not result data
                 ):
+                    self._wedged.update(p.pid for i, p in enumerate(self._procs) if self._busy[i])
                     raise PoolTimeoutError(
                         f"pool made no progress for {deadline:g}s with "
                         f"{len(pending)} unfinished walk bucket(s) "

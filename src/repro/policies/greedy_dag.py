@@ -15,9 +15,9 @@ weights (Theorem 1's ``2(1 + 3 ln n)`` guarantee).  Two ideas make it
   BFS per removed node keeps every ``w̃`` exact.
 
 The initial ``w̃(v) = w(G_v)`` vector comes from
-:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector` (the cached
-reachability matrix on small graphs, per-node BFS otherwise), and is cached
-across resets on the same ``(hierarchy, distribution)`` pair so that
+:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector` (the dense
+matrix on small DAGs, the packed reachability bitset otherwise), and is
+cached across resets on the same ``(hierarchy, distribution)`` pair so that
 all-targets evaluation does not recompute it ``n`` times.
 """
 

@@ -374,6 +374,27 @@ class TestPoolDeadlines:
                     deadline=0.3,
                 )
 
+    def test_close_after_timeout_skips_join_budget(self):
+        """Workers busy when a call timed out are terminated at close
+        instead of being waited on for the 5 s join budget."""
+        plan, hierarchy, _ = _config(seed=24)
+        pool = EvaluationPool(workers=2)
+        try:
+            simulate_all_targets(plan, result_cache=False, pool=pool)  # warm
+            pool.deadline = 0.3
+            pool._inject_sleep(60.0)
+            pool._inject_sleep(60.0)  # both workers are now wedged
+            with pytest.raises(PoolTimeoutError):
+                simulate_all_targets(plan, result_cache=False, pool=pool)
+            procs = list(pool._procs)
+            assert pool._wedged == {proc.pid for proc in procs}
+        finally:
+            start = time.monotonic()
+            pool.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.0
+        assert not any(proc.is_alive() for proc in procs)
+
     def test_deadline_validation(self):
         with pytest.raises(PoolError, match="deadline"):
             EvaluationPool(workers=1, deadline=-1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.distribution import TargetDistribution
+from repro.core.hierarchy import _packed_row_sums
 from repro.core.session import search_for_target
 from repro.policies import GreedyDagPolicy, GreedyTreePolicy, WigsPolicy
 from repro.taxonomy import amazon_catalog, amazon_like, imagenet_like
@@ -14,12 +15,22 @@ from repro.testing import make_random_dag
 
 
 class TestBlockedReachWeights:
+    """The packed column-slab kernel ``reach_weight_vector`` sweeps above
+    the bitset limit, over slab widths of ``block`` target columns."""
+
     @pytest.mark.parametrize("block", [16, 128, 4096])
     def test_matches_dense_matrix(self, block):
         h = make_random_dag(200, seed=6)
         weights = np.random.default_rng(1).uniform(0.0, 2.0, h.n)
         dense = h.reachability_matrix() @ weights
-        blocked = h._reach_weights_blocked(weights, block=block)
+        width = block // 8
+        starts = range(0, (h.n + 7) // 8, width)
+        slabs = [h._packed_reach_slab(lo, lo + width) for lo in starts]
+        assert np.array_equal(np.hstack(slabs), h.reachability_bits())
+        blocked = sum(
+            _packed_row_sums(slab, weights[8 * lo : 8 * (lo + width)])
+            for lo, slab in zip(starts, slabs)
+        )
         assert np.allclose(dense, blocked)
 
 
